@@ -126,33 +126,38 @@ let run ~reps name param program =
   }
 
 let emit_json out mode entries =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"semantic-analysis\",\n";
-  p "  \"mode\": %S,\n" mode;
-  p
-    "  \"reference\": \"Asp.Grounder.ground without ~order; ordered output \
-     checked bit-for-bit equal\",\n";
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      p
-        "    {\"workload\": %S, \"param\": %d, \"analysis_s\": %.6f,\n\
-        \     \"predicted_atoms\": %.1f, \"ground_atoms\": %d, \
-         \"card_ratio\": %.3f,\n\
-        \     \"unordered_s\": %.6f, \"ordered_s\": %.6f, \
-         \"order_speedup\": %.3f,\n\
-        \     \"reordered_rules\": %d, \"rules\": %d}%s\n"
-        e.workload e.param e.analysis_s e.predicted_atoms e.ground_atoms
-        (e.predicted_atoms /. float_of_int (max 1 e.ground_atoms))
-        e.unordered_s e.ordered_s
-        (e.unordered_s /. e.ordered_s)
-        e.reordered e.rules
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  p "  ]\n}\n";
-  close_out oc
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "semantic-analysis");
+         ("mode", Json.String mode);
+         ( "reference",
+           Json.String
+             "Asp.Grounder.ground without ~order; ordered output checked \
+              bit-for-bit equal" );
+         ( "entries",
+           Json.List
+             (List.map
+                (fun e ->
+                  Json.Obj
+                    [
+                      ("workload", Json.String e.workload);
+                      ("param", Json.Int e.param);
+                      ("analysis_s", Json.Float e.analysis_s);
+                      ("predicted_atoms", Json.Float e.predicted_atoms);
+                      ("ground_atoms", Json.Int e.ground_atoms);
+                      ( "card_ratio",
+                        Json.Float
+                          (e.predicted_atoms
+                          /. float_of_int (max 1 e.ground_atoms)) );
+                      ("unordered_s", Json.Float e.unordered_s);
+                      ("ordered_s", Json.Float e.ordered_s);
+                      ("order_speedup", Json.Float (e.unordered_s /. e.ordered_s));
+                      ("reordered_rules", Json.Int e.reordered);
+                      ("rules", Json.Int e.rules);
+                    ])
+                entries) );
+       ])
 
 let run_bench ~smoke ~out =
   let reps = if smoke then 1 else 3 in
@@ -175,7 +180,6 @@ let run_bench ~smoke ~out =
     @ List.map (fun n -> run ~reps "join" n (join_program n)) join_ns
   in
   emit_json out (if smoke then "smoke" else "full") entries;
-  Printf.eprintf "wrote %s\n" out;
   List.map
     (fun e ->
       Registry.row ~ground_atoms:e.ground_atoms

@@ -234,77 +234,92 @@ let run ~smoke ~out =
   end;
 
   (* --- emit ------------------------------------------------------------ *)
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"incremental-cegar-frontier\",\n";
-  p "  \"mode\": %S,\n" (if smoke then "smoke" else "full");
-  p "  \"workload\": \"hierarchical case study: layered-zone refinement + \
-     12-action shield catalog\",\n";
-  p "  \"refine\": {\n";
-  p "    \"levels\": %d, \"entries\": %d,\n" levels entries;
-  p "    \"entries_list\": [\n";
-  let pe i (e : refine_entry) last =
-    p
-      "      {\"name\": %S, \"wall_s\": %.6f, \"speedup_vs_scratch\": \
-       %.2f, \"solves\": %d, \"cache_hits\": %d,\n\
-      \       \"nogoods_carried\": %d, \"nogoods_published\": %d, \
-       \"ground_fresh_rules\": %d, \"ground_reused_rules\": %d}%s\n"
-      e.re_name e.re_wall_s
-      (scratch_a.re_wall_s /. e.re_wall_s)
-      e.re_solves e.re_hits e.re_carried e.re_published e.re_fresh_rules
-      e.re_reused_rules
-      (if last then "" else ",");
-    ignore i
+  let refine_json (e : refine_entry) =
+    Json.Obj
+      [
+        ("name", Json.String e.re_name);
+        ("wall_s", Json.Float e.re_wall_s);
+        ("speedup_vs_scratch", Json.Float (scratch_a.re_wall_s /. e.re_wall_s));
+        ("solves", Json.Int e.re_solves);
+        ("cache_hits", Json.Int e.re_hits);
+        ("nogoods_carried", Json.Int e.re_carried);
+        ("nogoods_published", Json.Int e.re_published);
+        ("ground_fresh_rules", Json.Int e.re_fresh_rules);
+        ("ground_reused_rules", Json.Int e.re_reused_rules);
+      ]
   in
-  pe 0 scratch_a false;
-  pe 1 assume_e false;
-  pe 2 increment_e true;
-  p "    ],\n";
-  p "    \"iterative\": {\n";
-  p "      \"workload\": \"retract one confirmed hypothesis per pass and \
-     re-run the schedule; one Engine.Cache shared across incremental \
-     passes\",\n";
-  p "      \"passes\": %d,\n" passes;
-  let pit name (s, i, solves, hits) last =
-    p
-      "      %S: {\"scratch_total_s\": %.6f, \"inc_total_s\": %.6f, \
-       \"speedup\": %.2f, \"solves\": %d, \"cache_hits\": %d}%s\n"
-      name s i (s /. i) solves hits
-      (if last then "" else ",")
+  let iterative_json (s, i, solves, hits) =
+    Json.Obj
+      [
+        ("scratch_total_s", Json.Float s);
+        ("inc_total_s", Json.Float i);
+        ("speedup", Json.Float (s /. i));
+        ("solves", Json.Int solves);
+        ("cache_hits", Json.Int hits);
+      ]
   in
-  pit "assume" assume_it false;
-  pit "increment" increment_it true;
-  p "    },\n";
-  p "    \"incremental_speedup\": %.2f\n" iterative_speedup;
-  p "  },\n";
-  p "  \"pareto\": {\n";
-  p "    \"actions\": %d, \"subsets\": %d, \"jobs\": %d,\n"
-    (List.length (Mitigation.Frontier.actions f_par))
-    par_report.Mitigation.Frontier.r_evals jobs;
-  p "    \"seq_wall_s\": %.6f, \"sum_s\": %.6f, \"critical_s\": %.6f,\n"
-    seq_s par_report.Mitigation.Frontier.r_sum_s
-    par_report.Mitigation.Frontier.r_critical_s;
-  p "    \"est_parallel_s\": %.6f, \"est_speedup\": %.2f,\n" est_parallel_s
-    (seq_s /. est_parallel_s);
-  p "    \"front_points\": %d\n" (List.length par_front);
-  p "  },\n";
-  p "  \"budget_sweep\": {\n";
-  p "    \"budgets\": [%s],\n"
-    (String.concat ", " (List.map string_of_int budgets));
-  p "    \"wall_s\": %.6f, \"evals\": %d, \"hits\": %d, \"fresh\": %d,\n"
-    bud_s bud_report.Mitigation.Frontier.r_evals
-    bud_report.Mitigation.Frontier.r_hits
-    bud_report.Mitigation.Frontier.r_fresh;
-  p "    \"hit_rate\": %.3f\n" hit_rate;
-  p "  },\n";
-  p "  \"never_slower\": {\"tolerance\": %.2f, \"min_reliable_s\": %.3f},\n"
-    tolerance min_reliable_s;
-  p "  \"oracle\": \"all sections bit-identical to the retained scratch \
-     paths\"\n";
-  p "}\n";
-  close_out oc;
-  Printf.eprintf "wrote %s\n" out;
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "incremental-cegar-frontier");
+         ("mode", Json.String (if smoke then "smoke" else "full"));
+         ( "workload",
+           Json.String
+             "hierarchical case study: layered-zone refinement + 12-action \
+              shield catalog" );
+         ( "refine",
+           Json.Obj
+             [
+               ("levels", Json.Int levels);
+               ("entries", Json.Int entries);
+               ( "entries_list",
+                 Json.List (List.map refine_json [ scratch_a; assume_e; increment_e ]) );
+               ( "iterative",
+                 Json.Obj
+                   [
+                     ( "workload",
+                       Json.String
+                         "retract one confirmed hypothesis per pass and re-run \
+                          the schedule; one Engine.Cache shared across \
+                          incremental passes" );
+                     ("passes", Json.Int passes);
+                     ("assume", iterative_json assume_it);
+                     ("increment", iterative_json increment_it);
+                   ] );
+               ("incremental_speedup", Json.Float iterative_speedup);
+             ] );
+         ( "pareto",
+           Json.Obj
+             [
+               ("actions", Json.Int (List.length (Mitigation.Frontier.actions f_par)));
+               ("subsets", Json.Int par_report.Mitigation.Frontier.r_evals);
+               ("jobs", Json.Int jobs);
+               ("seq_wall_s", Json.Float seq_s);
+               ("sum_s", Json.Float par_report.Mitigation.Frontier.r_sum_s);
+               ("critical_s", Json.Float par_report.Mitigation.Frontier.r_critical_s);
+               ("est_parallel_s", Json.Float est_parallel_s);
+               ("est_speedup", Json.Float (seq_s /. est_parallel_s));
+               ("front_points", Json.Int (List.length par_front));
+             ] );
+         ( "budget_sweep",
+           Json.Obj
+             [
+               ("budgets", Json.List (List.map (fun b -> Json.Int b) budgets));
+               ("wall_s", Json.Float bud_s);
+               ("evals", Json.Int bud_report.Mitigation.Frontier.r_evals);
+               ("hits", Json.Int bud_report.Mitigation.Frontier.r_hits);
+               ("fresh", Json.Int bud_report.Mitigation.Frontier.r_fresh);
+               ("hit_rate", Json.Float hit_rate);
+             ] );
+         ( "never_slower",
+           Json.Obj
+             [
+               ("tolerance", Json.Float tolerance);
+               ("min_reliable_s", Json.Float min_reliable_s);
+             ] );
+         ( "oracle",
+           Json.String "all sections bit-identical to the retained scratch paths" );
+       ]);
   let refine_row (e : refine_entry) =
     Registry.row
       ~note:

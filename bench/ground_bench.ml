@@ -203,51 +203,60 @@ let run_extend_tc ~reps ~n k =
   run_extend ~reps "tc-extend" k ~base ~deltas
 
 let emit_json out mode entries =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"asp-grounder-scaling\",\n";
-  p "  \"mode\": %S,\n" mode;
-  p "  \"reference\": \"Asp.Naive_ground (naive fixpoint, linear signature \
-     scans); extend rows reference fresh base+delta grounding\",\n";
-  p "  \"guards\": {\"never_slower_tolerance\": %.2f, \"min_reliable_s\": \
-     %.3f, \"probe_budget\": {%s}},\n"
-    tolerance min_reliable_s
-    (String.concat ", "
-       (List.map
-          (fun (w, b) -> Printf.sprintf "%S: %.1f" w b)
-          probe_budget));
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      let s = e.stats in
-      p
-        "    {\"workload\": %S, \"param\": %d, \"ground_atoms\": %d, \
-         \"ground_rules\": %d,\n\
-        \     \"grounder_s\": %.6f, \"reference_s\": %s, \"speedup\": %s,\n\
-        \     \"stats\": {\"passes\": %d, \"firings\": %d, \"probes\": %d, \
-         \"probes_per_touched\": %.3f, \"fresh_rules\": %d, \"reused_rules\": \
-         %d}}%s\n"
-        e.workload e.param e.atoms e.grules e.new_s
-        (match e.oracle_s with
-        | Some t -> Printf.sprintf "%.6f" t
-        | None -> "null")
-        (match e.oracle_s with
-        | Some t -> Printf.sprintf "%.2f" (t /. e.new_s)
-        | None -> "null")
-        s.Asp.Grounder.Stats.passes s.Asp.Grounder.Stats.firings
-        s.Asp.Grounder.Stats.probes
-        (float_of_int s.Asp.Grounder.Stats.probes
-        /. float_of_int
-             (max 1
-                (s.Asp.Grounder.Stats.firings
-               + s.Asp.Grounder.Stats.reused_rules)))
-        s.Asp.Grounder.Stats.fresh_rules s.Asp.Grounder.Stats.reused_rules
-        (if i = List.length entries - 1 then "" else ",");
-      ())
-    entries;
-  p "  ]\n}\n";
-  close_out oc
+  let opt_float = function Some v -> Json.Float v | None -> Json.Null in
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "asp-grounder-scaling");
+         ("mode", Json.String mode);
+         ( "reference",
+           Json.String
+             "Asp.Naive_ground (naive fixpoint, linear signature scans); \
+              extend rows reference fresh base+delta grounding" );
+         ( "guards",
+           Json.Obj
+             [
+               ("never_slower_tolerance", Json.Float tolerance);
+               ("min_reliable_s", Json.Float min_reliable_s);
+               ( "probe_budget",
+                 Json.Obj (List.map (fun (w, b) -> (w, Json.Float b)) probe_budget) );
+             ] );
+         ( "entries",
+           Json.List
+             (List.map
+                (fun e ->
+                  let s = e.stats in
+                  Json.Obj
+                    [
+                      ("workload", Json.String e.workload);
+                      ("param", Json.Int e.param);
+                      ("ground_atoms", Json.Int e.atoms);
+                      ("ground_rules", Json.Int e.grules);
+                      ("grounder_s", Json.Float e.new_s);
+                      ("reference_s", opt_float e.oracle_s);
+                      ( "speedup",
+                        opt_float (Option.map (fun t -> t /. e.new_s) e.oracle_s) );
+                      ( "stats",
+                        Json.Obj
+                          [
+                            ("passes", Json.Int s.Asp.Grounder.Stats.passes);
+                            ("firings", Json.Int s.Asp.Grounder.Stats.firings);
+                            ("probes", Json.Int s.Asp.Grounder.Stats.probes);
+                            ( "probes_per_touched",
+                              Json.Float
+                                (float_of_int s.Asp.Grounder.Stats.probes
+                                /. float_of_int
+                                     (max 1
+                                        (s.Asp.Grounder.Stats.firings
+                                       + s.Asp.Grounder.Stats.reused_rules))) );
+                            ( "fresh_rules",
+                              Json.Int s.Asp.Grounder.Stats.fresh_rules );
+                            ( "reused_rules",
+                              Json.Int s.Asp.Grounder.Stats.reused_rules );
+                          ] );
+                    ])
+                entries) );
+       ])
 
 let run ~smoke ~out =
   let reps = if smoke then 1 else 3 in
@@ -278,7 +287,6 @@ let run ~smoke ~out =
     @ List.map (fun (n, k) -> run_extend_tc ~reps ~n k) tc_extend
   in
   emit_json out (if smoke then "smoke" else "full") entries;
-  Printf.eprintf "wrote %s\n" out;
   List.map
     (fun e ->
       Registry.row ~ground_atoms:e.atoms

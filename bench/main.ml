@@ -108,33 +108,34 @@ let print_table rows =
     rows
 
 let emit_rows_json path mode rows =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"bench\": \"unified-driver\",\n  \"mode\": %S,\n  \"rows\": [\n" mode;
-  List.iteri
-    (fun i (bname, (r : Registry.row)) ->
-      let opt_rate c =
-        match rate c r.Registry.r_wall_s with
-        | Some v -> Printf.sprintf "%.1f" v
-        | None -> "null"
-      in
-      let opt_int = function Some v -> string_of_int v | None -> "null" in
-      p
-        "    {\"bench\": %S, \"workload\": %S, \"param\": %S, \"wall_s\": \
-         %.6f, \"ground_atoms\": %s, \"ground_atoms_per_s\": %s, \"models\": \
-         %s, \"models_per_s\": %s, \"note\": %S}%s\n"
-        bname r.Registry.r_workload r.Registry.r_param r.Registry.r_wall_s
-        (opt_int r.Registry.r_ground_atoms)
-        (opt_rate r.Registry.r_ground_atoms)
-        (opt_int r.Registry.r_models)
-        (opt_rate r.Registry.r_models)
-        r.Registry.r_note
-        (if i = List.length rows - 1 then "" else ",")
-      )
-    rows;
-  p "  ]\n}\n";
-  close_out oc;
-  Printf.eprintf "wrote %s\n" path
+  let opt f = function Some v -> f v | None -> Json.Null in
+  Registry.write_json path
+    (Json.Obj
+       [
+         ("bench", Json.String "unified-driver");
+         ("mode", Json.String mode);
+         ( "rows",
+           Json.List
+             (List.map
+                (fun (bname, (r : Registry.row)) ->
+                  let opt_rate c =
+                    opt (fun v -> Json.Float v) (rate c r.Registry.r_wall_s)
+                  in
+                  Json.Obj
+                    [
+                      ("bench", Json.String bname);
+                      ("workload", Json.String r.Registry.r_workload);
+                      ("param", Json.String r.Registry.r_param);
+                      ("wall_s", Json.Float r.Registry.r_wall_s);
+                      ( "ground_atoms",
+                        opt (fun v -> Json.Int v) r.Registry.r_ground_atoms );
+                      ("ground_atoms_per_s", opt_rate r.Registry.r_ground_atoms);
+                      ("models", opt (fun v -> Json.Int v) r.Registry.r_models);
+                      ("models_per_s", opt_rate r.Registry.r_models);
+                      ("note", Json.String r.Registry.r_note);
+                    ])
+                rows) );
+       ])
 
 let () =
   let o = parse_args () in

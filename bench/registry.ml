@@ -58,3 +58,11 @@ let wall f =
 
 let per_s count seconds =
   if seconds > 0.0 then float_of_int count /. seconds else 0.0
+
+(* every bench's JSON file goes through the one codec *)
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (Json.to_string j);
+  output_char oc '\n';
+  close_out oc;
+  Printf.eprintf "wrote %s\n" path

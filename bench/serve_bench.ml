@@ -71,7 +71,7 @@ let must = function
   | Error e -> failwith (Printf.sprintf "serve_bench: %s" e)
 
 let geti field json =
-  match Serve.Json.mem_int field json with
+  match Json.mem_int field json with
   | Some v -> v
   | None -> failwith (Printf.sprintf "serve_bench: response lacks %S" field)
 
@@ -168,7 +168,7 @@ let run ~smoke ~out =
   in
   let status = must (Serve.Client.call client Serve.Protocol.Status) in
   let queue =
-    match Serve.Json.member "queue" status with
+    match Json.member "queue" status with
     | Some q -> q
     | None -> failwith "status lacks queue"
   in
@@ -207,16 +207,16 @@ let run ~smoke ~out =
   (* per-job "source" is provenance, not an answer — it legitimately
      differs between generations (fresh vs memory vs disk) *)
   let rec strip_source = function
-    | Serve.Json.Obj fields ->
-        Serve.Json.Obj
+    | Json.Obj fields ->
+        Json.Obj
           (List.filter_map
              (fun (k, v) ->
                if k = "source" then None else Some (k, strip_source v))
              fields)
-    | Serve.Json.List xs -> Serve.Json.List (List.map strip_source xs)
+    | Json.List xs -> Json.List (List.map strip_source xs)
     | j -> j
   in
-  let results j = Option.map strip_source (Serve.Json.member "results" j) in
+  let results j = Option.map strip_source (Json.member "results" j) in
   if results disk_results <> results cold_results
      || results warm_mem_results <> results cold_results
   then begin
@@ -224,37 +224,45 @@ let run ~smoke ~out =
     exit 2
   end;
 
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"assessment-service\",\n";
-  p "  \"mode\": %S,\n" (if smoke then "smoke" else "full");
-  p "  \"workload\": \"water-tank temporal ASP, seeded-random deltas, over the Unix-domain socket\",\n";
-  p "  \"deltas\": %d,\n" n;
-  p "  \"horizon\": %d,\n" horizon;
-  p "  \"seed\": %d,\n" seed;
-  p "  \"load_s\": [%.6f, %.6f],\n" load1_s load2_s;
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      p
-        "    {\"name\": %S, \"wall_s\": %.6f, \"speedup_vs_cold\": %.2f, \
-         \"hits\": %d, \"disk_hits\": %d, \"misses\": %d}%s\n"
-        e.name e.wall_s
-        (cold.wall_s /. e.wall_s)
-        e.hits e.disk_hits e.misses
-        (if i = 2 then "" else ",")
-    )
-    [ cold; warm_mem; warm_disk ];
-  p "  ],\n";
-  p "  \"burst\": {\"requests\": %d, \"client_threads\": %d, \"wall_s\": %.6f, \
-     \"requests_per_s\": %.0f, \"queue_batches\": %d, \"max_batch\": %d}\n"
-    burst_total threads burst_s
-    (float_of_int burst_total /. burst_s)
-    batches max_batch;
-  p "}\n";
-  close_out oc;
-  Printf.eprintf "wrote %s\n" out;
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "assessment-service");
+         ("mode", Json.String (if smoke then "smoke" else "full"));
+         ( "workload",
+           Json.String
+             "water-tank temporal ASP, seeded-random deltas, over the \
+              Unix-domain socket" );
+         ("deltas", Json.Int n);
+         ("horizon", Json.Int horizon);
+         ("seed", Json.Int seed);
+         ("load_s", Json.List [ Json.Float load1_s; Json.Float load2_s ]);
+         ( "entries",
+           Json.List
+             (List.map
+                (fun e ->
+                  Json.Obj
+                    [
+                      ("name", Json.String e.name);
+                      ("wall_s", Json.Float e.wall_s);
+                      ("speedup_vs_cold", Json.Float (cold.wall_s /. e.wall_s));
+                      ("hits", Json.Int e.hits);
+                      ("disk_hits", Json.Int e.disk_hits);
+                      ("misses", Json.Int e.misses);
+                    ])
+                [ cold; warm_mem; warm_disk ]) );
+         ( "burst",
+           Json.Obj
+             [
+               ("requests", Json.Int burst_total);
+               ("client_threads", Json.Int threads);
+               ("wall_s", Json.Float burst_s);
+               ( "requests_per_s",
+                 Json.Float (float_of_int burst_total /. burst_s) );
+               ("queue_batches", Json.Int batches);
+               ("max_batch", Json.Int max_batch);
+             ] );
+       ]);
   let sweep_row (e : entry) =
     Registry.row
       ~note:

@@ -295,94 +295,109 @@ let par_ladder ~reps name param program combos =
     combos
 
 let emit_json out mode entries par_entries =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"asp-solver-scaling\",\n";
-  p "  \"mode\": %S,\n" mode;
-  p
-    "  \"solver\": \"Asp.Solver (cheap propagation tier + CDNL: \
-     preprocessed completion nogoods, 1-UIP learning, unfounded-set \
-     checks)\",\n";
-  p
-    "  \"baselines\": [\"Asp.Dfs (retained pruned DFS)\", \"Asp.Naive \
-     (exhaustive subset enumeration)\"],\n";
-  p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  p
-    "  \"never_slower\": {\"workloads\": [%s], \"tolerance\": %.2f, \
-     \"min_reliable_s\": %.3f},\n"
-    (String.concat ", " (List.map (Printf.sprintf "%S") guarded))
-    tolerance min_reliable_s;
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      let s = e.stats in
-      let tm = function
-        | Ran t -> Printf.sprintf "%.6f" t
-        | Skipped _ -> "null"
-      in
-      let speedup = function
-        | Ran t -> Printf.sprintf "%.2f" (t /. e.cdnl_s)
-        | Skipped _ -> "null"
-      in
-      let skip = function
-        | Ran _ -> "null"
-        | Skipped why -> Printf.sprintf "%S" why
-      in
-      let per_s n = float_of_int n /. Float.max e.cdnl_s 1e-9 in
-      p
-        "    {\"workload\": %S, \"param\": %d, \"ground_atoms\": %d, \
-         \"models\": %d,\n\
-        \     \"cdnl_s\": %.6f, \"models_per_s\": %.1f, \
-         \"conflicts_per_s\": %.1f, \"tier\": %S,\n\
-        \     \"dfs_s\": %s, \"dfs_speedup\": %s, \"dfs_skipped\": %s,\n\
-        \     \"naive_s\": %s, \"naive_speedup\": %s, \"naive_skipped\": \
-         %s,\n\
-        \     \"stats\": {\"guesses\": %d, \"firings\": %d, \"conflicts\": \
-         %d, \"learned\": %d, \"restarts\": %d, \"model_blocks\": %d, \
-         \"backjumped\": %d, \"unfounded_checks\": %d, \"unfounded_sets\": \
-         %d, \"pre_units\": %d, \"pre_subsumed\": %d, \"pre_equivs\": %d, \
-         \"pre_pure\": %d}}%s\n"
-        e.workload e.param e.atoms e.models e.cdnl_s (per_s e.models)
-        (per_s s.Asp.Solver.Stats.conflicts)
-        (if s.Asp.Solver.Stats.cheap then "cheap" else "cdnl")
-        (tm e.dfs) (speedup e.dfs) (skip e.dfs) (tm e.naive) (speedup e.naive)
-        (skip e.naive) s.Asp.Solver.Stats.guesses s.Asp.Solver.Stats.firings
-        s.Asp.Solver.Stats.conflicts s.Asp.Solver.Stats.learned
-        s.Asp.Solver.Stats.restarts s.Asp.Solver.Stats.model_blocks
-        s.Asp.Solver.Stats.backjumped s.Asp.Solver.Stats.unfounded_checks
-        s.Asp.Solver.Stats.unfounded_sets s.Asp.Solver.Stats.pre_units
-        s.Asp.Solver.Stats.pre_subsumed s.Asp.Solver.Stats.pre_equivs
-        s.Asp.Solver.Stats.pre_pure
-        (if i = List.length entries - 1 then "" else ",");
-      ())
-    entries;
-  p "  ],\n";
-  p "  \"parallel\": {\n";
-  p
-    "    \"note\": \"guiding-path enumeration with learned-nogood \
-     exchange; on a single-core host the measured wall cannot improve, \
-     so est_parallel_s = max(critical_s, sum_s / jobs) is the ideal \
-     makespan on jobs workers and speedup_vs_seq compares it to the \
-     sequential wall\",\n";
-  p "    \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      p
-        "      {\"workload\": %S, \"param\": %d, \"jobs\": %d, \"share\": \
-         %b, \"paths\": %d,\n\
-        \       \"wall_s\": %.6f, \"critical_s\": %.6f, \"sum_s\": %.6f, \
-         \"est_parallel_s\": %.6f,\n\
-        \       \"speedup_vs_seq\": %.2f, \"ideal_speedup\": %.2f, \
-         \"shared_out\": %d, \"shared_in\": %d}%s\n"
-        e.p_workload e.p_param e.jobs e.share e.paths e.par_wall_s
-        e.critical_s e.sum_s e.est_parallel_s e.speedup_vs_seq
-        (if e.critical_s > 0.0 then e.sum_s /. e.critical_s else 1.0)
-        e.shared_out e.shared_in
-        (if i = List.length par_entries - 1 then "" else ","))
-    par_entries;
-  p "    ]\n  }\n}\n";
-  close_out oc
+  let tm = function Ran t -> Json.Float t | Skipped _ -> Json.Null in
+  let skip = function Ran _ -> Json.Null | Skipped why -> Json.String why in
+  let entry e =
+    let s = e.stats in
+    let speedup = function
+      | Ran t -> Json.Float (t /. e.cdnl_s)
+      | Skipped _ -> Json.Null
+    in
+    let per_s n = Json.Float (float_of_int n /. Float.max e.cdnl_s 1e-9) in
+    let int x = Json.Int x in
+    Json.Obj
+      [
+        ("workload", Json.String e.workload);
+        ("param", int e.param);
+        ("ground_atoms", int e.atoms);
+        ("models", int e.models);
+        ("cdnl_s", Json.Float e.cdnl_s);
+        ("models_per_s", per_s e.models);
+        ("conflicts_per_s", per_s s.Asp.Solver.Stats.conflicts);
+        ( "tier",
+          Json.String (if s.Asp.Solver.Stats.cheap then "cheap" else "cdnl") );
+        ("dfs_s", tm e.dfs);
+        ("dfs_speedup", speedup e.dfs);
+        ("dfs_skipped", skip e.dfs);
+        ("naive_s", tm e.naive);
+        ("naive_speedup", speedup e.naive);
+        ("naive_skipped", skip e.naive);
+        ( "stats",
+          Json.Obj
+            [
+              ("guesses", int s.Asp.Solver.Stats.guesses);
+              ("firings", int s.Asp.Solver.Stats.firings);
+              ("conflicts", int s.Asp.Solver.Stats.conflicts);
+              ("learned", int s.Asp.Solver.Stats.learned);
+              ("restarts", int s.Asp.Solver.Stats.restarts);
+              ("model_blocks", int s.Asp.Solver.Stats.model_blocks);
+              ("backjumped", int s.Asp.Solver.Stats.backjumped);
+              ("unfounded_checks", int s.Asp.Solver.Stats.unfounded_checks);
+              ("unfounded_sets", int s.Asp.Solver.Stats.unfounded_sets);
+              ("pre_units", int s.Asp.Solver.Stats.pre_units);
+              ("pre_subsumed", int s.Asp.Solver.Stats.pre_subsumed);
+              ("pre_equivs", int s.Asp.Solver.Stats.pre_equivs);
+              ("pre_pure", int s.Asp.Solver.Stats.pre_pure);
+            ] );
+      ]
+  in
+  let par_entry e =
+    Json.Obj
+      [
+        ("workload", Json.String e.p_workload);
+        ("param", Json.Int e.p_param);
+        ("jobs", Json.Int e.jobs);
+        ("share", Json.Bool e.share);
+        ("paths", Json.Int e.paths);
+        ("wall_s", Json.Float e.par_wall_s);
+        ("critical_s", Json.Float e.critical_s);
+        ("sum_s", Json.Float e.sum_s);
+        ("est_parallel_s", Json.Float e.est_parallel_s);
+        ("speedup_vs_seq", Json.Float e.speedup_vs_seq);
+        ( "ideal_speedup",
+          Json.Float
+            (if e.critical_s > 0.0 then e.sum_s /. e.critical_s else 1.0) );
+        ("shared_out", Json.Int e.shared_out);
+        ("shared_in", Json.Int e.shared_in);
+      ]
+  in
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "asp-solver-scaling");
+         ("mode", Json.String mode);
+         ( "solver",
+           Json.String
+             "Asp.Solver (cheap propagation tier + CDNL: preprocessed \
+              completion nogoods, 1-UIP learning, unfounded-set checks)" );
+         ( "baselines",
+           Json.List
+             [
+               Json.String "Asp.Dfs (retained pruned DFS)";
+               Json.String "Asp.Naive (exhaustive subset enumeration)";
+             ] );
+         ("host_domains", Json.Int (Domain.recommended_domain_count ()));
+         ( "never_slower",
+           Json.Obj
+             [
+               ("workloads", Json.List (List.map (fun w -> Json.String w) guarded));
+               ("tolerance", Json.Float tolerance);
+               ("min_reliable_s", Json.Float min_reliable_s);
+             ] );
+         ("entries", Json.List (List.map entry entries));
+         ( "parallel",
+           Json.Obj
+             [
+               ( "note",
+                 Json.String
+                   "guiding-path enumeration with learned-nogood exchange; \
+                    on a single-core host the measured wall cannot improve, \
+                    so est_parallel_s = max(critical_s, sum_s / jobs) is the \
+                    ideal makespan on jobs workers and speedup_vs_seq \
+                    compares it to the sequential wall" );
+               ("entries", Json.List (List.map par_entry par_entries));
+             ] );
+       ])
 
 let run ~smoke ~out =
   let reps = if smoke then 1 else 3 in
@@ -453,7 +468,6 @@ let run ~smoke ~out =
         ladder
   in
   emit_json out (if smoke then "smoke" else "full") entries par_entries;
-  Printf.eprintf "wrote %s\n" out;
   List.map
     (fun e ->
       Registry.row ~ground_atoms:e.atoms ~models:e.models

@@ -57,34 +57,38 @@ let emit_json out mode ~deltas ~horizon ~seed ~base_atoms entries =
   let cold_s =
     match entries with e :: _ -> e.wall_s | [] -> assert false
   in
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"scenario-sweep-engine\",\n";
-  p "  \"mode\": %S,\n" mode;
-  p "  \"workload\": \"water-tank temporal ASP, seeded-random deltas\",\n";
-  p "  \"deltas\": %d,\n" deltas;
-  p "  \"horizon\": %d,\n" horizon;
-  p "  \"seed\": %d,\n" seed;
-  p "  \"base_atoms\": %d,\n" base_atoms;
-  p "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun i e ->
-      p
-        "    {\"name\": %S, \"jobs\": %d, \"domains\": %d, \"wall_s\": \
-         %.6f, \"speedup_vs_cold\": %.2f,\n\
-        \     \"cache_hits\": %d, \"cache_misses\": %d, \
-         \"fresh_guesses\": %d, \"fresh_firings\": %d,\n\
-        \     \"ground_reused_rules\": %d, \"ground_fresh_rules\": %d}%s\n"
-        e.name e.jobs e.domains e.wall_s
-        (cold_s /. e.wall_s)
-        e.hits e.misses e.guesses e.firings e.reused_rules e.fresh_rules
-        (if i = List.length entries - 1 then "" else ",");
-      ())
-    entries;
-  p "  ]\n}\n";
-  close_out oc
+  Registry.write_json out
+    (Json.Obj
+       [
+         ("bench", Json.String "scenario-sweep-engine");
+         ("mode", Json.String mode);
+         ( "workload",
+           Json.String "water-tank temporal ASP, seeded-random deltas" );
+         ("deltas", Json.Int deltas);
+         ("horizon", Json.Int horizon);
+         ("seed", Json.Int seed);
+         ("base_atoms", Json.Int base_atoms);
+         ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+         ( "entries",
+           Json.List
+             (List.map
+                (fun e ->
+                  Json.Obj
+                    [
+                      ("name", Json.String e.name);
+                      ("jobs", Json.Int e.jobs);
+                      ("domains", Json.Int e.domains);
+                      ("wall_s", Json.Float e.wall_s);
+                      ("speedup_vs_cold", Json.Float (cold_s /. e.wall_s));
+                      ("cache_hits", Json.Int e.hits);
+                      ("cache_misses", Json.Int e.misses);
+                      ("fresh_guesses", Json.Int e.guesses);
+                      ("fresh_firings", Json.Int e.firings);
+                      ("ground_reused_rules", Json.Int e.reused_rules);
+                      ("ground_fresh_rules", Json.Int e.fresh_rules);
+                    ])
+                entries) );
+       ])
 
 let run ~smoke ~out =
   let n = if smoke then 24 else 256 in
@@ -149,7 +153,6 @@ let run ~smoke ~out =
   emit_json out
     (if smoke then "smoke" else "full")
     ~deltas:n ~horizon ~seed ~base_atoms:r1.Engine.Sweep.base_atoms entries;
-  Printf.eprintf "wrote %s\n" out;
   let total_models = List.fold_left (fun acc ms -> acc + List.length ms) 0 cold in
   List.map
     (fun e ->

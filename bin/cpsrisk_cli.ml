@@ -22,6 +22,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let print_json j = print_endline (Json.to_string j)
+
 (* ------------------------------------------------------------------ *)
 (* casestudy                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -236,7 +238,7 @@ let lint_run file builtin json strict list_codes semantic threshold =
     match diags with
     | None -> 2
     | Some diags ->
-        if json then print_endline (D.list_to_json diags)
+        if json then print_json (Json.List (List.map D.to_json diags))
         else begin
           List.iter (fun d -> print_endline (D.to_string d)) diags;
           Printf.printf "lint: %s\n" (D.summary diags)
@@ -340,7 +342,7 @@ let analyze_run file builtin json threshold =
       let diags =
         Analysis.Semlint.run_infer ~config:(semlint_config threshold) info
       in
-      if json then print_endline (D.list_to_json diags)
+      if json then print_json (Json.List (List.map D.to_json diags))
       else begin
         print_string (Analysis.Report.render info);
         if diags <> [] then begin
@@ -668,10 +670,19 @@ let dot_cmd =
 (* sweep                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let sweep mutations model jobs horizon stats json no_preprocess no_share =
-  ignore no_share;
-  (* sweep jobs solve distinct programs, so there is no nogood exchange to
-     disable; --no-share is accepted for symmetry with solve --jobs *)
+(* The per-job verdict of a sweep's text output, shared by `sweep` and
+   `request sweep` so the two print the same lines *)
+let verdicts_text verdicts =
+  String.concat "  "
+    (List.map
+       (fun (req, v) -> Printf.sprintf "%s=%s" req (if v then "Violated" else "-"))
+       verdicts)
+
+let affected_text = function
+  | [] -> "-> (contained)"
+  | affected -> "-> " ^ String.concat ", " affected
+
+let sweep mutations model jobs horizon stats json no_preprocess =
   let solver_config =
     if no_preprocess then
       Some
@@ -697,6 +708,25 @@ let sweep mutations model jobs horizon stats json no_preprocess no_share =
             Printf.eprintf "%s: %s\n" file (Engine.Delta.error_to_string e);
             exit 2)
   in
+  (* one line per job: label, the backend's [verdict] text, cache marker *)
+  let run spec verdict =
+    let report = Engine.Sweep.run ?jobs (with_config spec) in
+    if json then print_json (Engine.Sweep.to_json report)
+    else begin
+      Array.iter
+        (fun (r : Engine.Job.result) ->
+          Printf.printf "%-28s %s%s\n"
+            (Engine.Delta.label r.Engine.Job.delta)
+            (verdict r)
+            (if r.Engine.Job.cached then "  [cached]" else ""))
+        report.Engine.Sweep.results;
+      if stats then begin
+        print_newline ();
+        print_string (Engine.Sweep.render report)
+      end
+    end;
+    0
+  in
   match model with
   | None ->
       (* water-tank temporal backend; default workload: the full 2^4
@@ -706,28 +736,8 @@ let sweep mutations model jobs horizon stats json no_preprocess no_share =
         | Some ds -> ds
         | None -> Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults
       in
-      let spec = with_config (Cpsrisk.Sweeps.water_tank_spec ?horizon deltas) in
-      let report = Engine.Sweep.run ?jobs spec in
-      if json then print_endline (Engine.Sweep.to_json report)
-      else begin
-        Array.iter
-          (fun (r : Engine.Job.result) ->
-            Printf.printf "%-28s %s%s\n"
-              (Engine.Delta.label r.Engine.Job.delta)
-              (String.concat "  "
-                 (List.map
-                    (fun (req, v) ->
-                      Printf.sprintf "%s=%s" req
-                        (if v then "Violated" else "-"))
-                    (Cpsrisk.Sweeps.verdicts r)))
-              (if r.Engine.Job.cached then "  [cached]" else ""))
-          report.Engine.Sweep.results;
-        if stats then begin
-          print_newline ();
-          print_string (Engine.Sweep.render report)
-        end
-      end;
-      0
+      run (Cpsrisk.Sweeps.water_tank_spec ?horizon deltas) (fun r ->
+          verdicts_text (Cpsrisk.Sweeps.verdicts r))
   | Some file -> (
       match Archimate.Text.parse (read_file file) with
       | exception Archimate.Text.Error msg ->
@@ -739,25 +749,8 @@ let sweep mutations model jobs horizon stats json no_preprocess no_share =
             | Some ds -> ds
             | None -> Cpsrisk.Sweeps.model_element_deltas m
           in
-          let spec = with_config (Cpsrisk.Sweeps.topology_spec m deltas) in
-          let report = Engine.Sweep.run ?jobs spec in
-          if json then print_endline (Engine.Sweep.to_json report)
-          else begin
-            Array.iter
-              (fun (r : Engine.Job.result) ->
-                let affected = Cpsrisk.Sweeps.affected r in
-                Printf.printf "%-28s -> %s%s\n"
-                  (Engine.Delta.label r.Engine.Job.delta)
-                  (if affected = [] then "(contained)"
-                   else String.concat ", " affected)
-                  (if r.Engine.Job.cached then "  [cached]" else ""))
-              report.Engine.Sweep.results;
-            if stats then begin
-              print_newline ();
-              print_string (Engine.Sweep.render report)
-            end
-          end;
-          0)
+          run (Cpsrisk.Sweeps.topology_spec m deltas) (fun r ->
+              affected_text (Cpsrisk.Sweeps.affected r)))
 
 let mutations_arg =
   Arg.(
@@ -826,7 +819,7 @@ let sweep_cmd =
          ])
     Term.(
       const sweep $ mutations_arg $ sweep_model_arg $ jobs_arg $ horizon_arg
-      $ sweep_stats_flag $ sweep_json_flag $ no_preprocess_arg $ no_share_arg)
+      $ sweep_stats_flag $ sweep_json_flag $ no_preprocess_arg)
 
 (* ------------------------------------------------------------------ *)
 (* refine / mitigate                                                    *)
@@ -838,7 +831,7 @@ let refine levels entries mode jobs scratch no_share stats json =
       ~share:(not no_share) ~scratch ()
   with
   | outcome ->
-      if json then print_endline (Cpsrisk.Pipeline.refine_to_json outcome)
+      if json then print_json (Cegar.Inc.to_json outcome)
       else print_string (Cpsrisk.Pipeline.render_refine ~stats outcome);
       0
   | exception Invalid_argument msg ->
@@ -919,19 +912,22 @@ let refine_cmd =
       const refine $ levels_arg $ entries_arg $ mode_arg $ jobs_arg
       $ scratch_flag $ no_share_flag $ stats_flag $ json_flag)
 
+(* The search `mitigate` and `request mitigate` run: --pareto wins over
+   --budgets, which wins over the single optimal search *)
+let frontier_request ~pareto budget budgets =
+  if pareto then Cpsrisk.Pipeline.Frontier_pareto
+  else
+    match budgets with
+    | Some bs -> Cpsrisk.Pipeline.Frontier_sweep bs
+    | None -> Cpsrisk.Pipeline.Frontier_optimal budget
+
 let mitigate frontier case budget budgets pareto jobs horizon stats json =
   let f =
     match case with
     | `Hierarchy -> Cpsrisk.Hierarchy.frontier ()
     | `Water_tank -> Cpsrisk.Pipeline.water_tank_frontier ?horizon ()
   in
-  let request =
-    if pareto then Cpsrisk.Pipeline.Frontier_pareto
-    else
-      match budgets with
-      | Some bs -> Cpsrisk.Pipeline.Frontier_sweep bs
-      | None -> Cpsrisk.Pipeline.Frontier_optimal budget
-  in
+  let request = frontier_request ~pareto budget budgets in
   let answer, report =
     if frontier then Cpsrisk.Pipeline.mitigate_frontier ?jobs f request
     else
@@ -961,7 +957,7 @@ let mitigate frontier case budget budgets pareto jobs horizon stats json =
           r_wall_s = 0.0;
         } )
   in
-  if json then print_endline (Cpsrisk.Pipeline.frontier_to_json answer report)
+  if json then print_json (Cpsrisk.Pipeline.frontier_to_json answer report)
   else
     print_string
       (Cpsrisk.Pipeline.render_frontier ~stats:(stats && frontier) answer
@@ -1126,38 +1122,19 @@ let request_fail msg =
    `cpsrisk request sweep` is diffable bit-for-bit against the one-shot
    command on the same model and mutations. *)
 let print_sweep_text response =
-  let results =
-    Option.value ~default:[] (Serve.Json.mem_list "results" response)
-  in
   List.iter
     (fun r ->
-      let label =
-        Option.value ~default:"?" (Serve.Json.mem_string "label" r)
-      in
-      match Serve.Json.member "verdicts" r with
-      | Some (Serve.Json.Obj verdicts) ->
+      let label = Option.value ~default:"?" (Json.mem_string "label" r) in
+      match (Json.member "verdicts" r, Json.mem_list "affected" r) with
+      | Some (Json.Obj verdicts), _ ->
           Printf.printf "%-28s %s\n" label
-            (String.concat "  "
-               (List.map
-                  (fun (req, v) ->
-                    Printf.sprintf "%s=%s" req
-                      (match v with
-                      | Serve.Json.Bool true -> "Violated"
-                      | _ -> "-"))
-                  verdicts))
-      | _ -> (
-          match Serve.Json.mem_list "affected" r with
-          | Some affected ->
-              let affected =
-                List.filter_map
-                  (function Serve.Json.String s -> Some s | _ -> None)
-                  affected
-              in
-              Printf.printf "%-28s -> %s\n" label
-                (if affected = [] then "(contained)"
-                 else String.concat ", " affected)
-          | None -> Printf.printf "%-28s\n" label))
-    results
+            (verdicts_text
+               (List.map (fun (req, v) -> (req, v = Json.Bool true)) verdicts))
+      | _, Some affected ->
+          Printf.printf "%-28s %s\n" label
+            (affected_text (List.filter_map Json.string_opt affected))
+      | _ -> Printf.printf "%-28s\n" label)
+    (Option.value ~default:[] (Json.mem_list "results" response))
 
 let request socket op name model_file backend horizon mutations jobs limit
     optimal budget budgets pareto json =
@@ -1179,20 +1156,11 @@ let request socket op name model_file backend horizon mutations jobs limit
               (Serve.Protocol.Load_model
                  { name; backend; horizon; model_src = None }))
     | "mitigate" ->
-        let op =
-          if pareto then Serve.Protocol.Pareto
-          else
-            match budgets with
-            | Some _ -> Serve.Protocol.Budget_curve
-            | None -> Serve.Protocol.Optimal
-        in
         Ok
           (Serve.Protocol.Mitigate
              {
                model = name;
-               op;
-               budget;
-               budgets = Option.value ~default:[] budgets;
+               search = frontier_request ~pareto budget budgets;
                jobs;
              })
     | "sweep" -> (
@@ -1230,7 +1198,7 @@ let request socket op name model_file backend horizon mutations jobs limit
       | Error msg -> request_fail msg
       | Ok response ->
           if (not json) && op = "sweep" then print_sweep_text response
-          else print_endline (Serve.Json.to_string response);
+          else print_json response;
           0)
 
 let request_cmd =

@@ -39,6 +39,17 @@ module Stats = struct
       s.firings s.probes s.fresh_rules s.reused_rules s.wall_s
 
   let pp ppf s = Format.pp_print_string ppf (to_string s)
+
+  let to_json s =
+    Json.Obj
+      [
+        ("passes", Json.Int s.passes);
+        ("firings", Json.Int s.firings);
+        ("probes", Json.Int s.probes);
+        ("fresh_rules", Json.Int s.fresh_rules);
+        ("reused_rules", Json.Int s.reused_rules);
+        ("wall_s", Json.Float s.wall_s);
+      ]
 end
 
 (* ------------------------------------------------------------------ *)

@@ -56,6 +56,7 @@ module Stats : sig
 
   val to_string : t -> string
   val pp : Format.formatter -> t -> unit
+  val to_json : t -> Json.t
 end
 
 type par = { pmap : 'a. (int -> 'a) -> int -> 'a array; min_items : int }

@@ -85,3 +85,20 @@ let to_string s =
     s.wall_s
 
 let pp ppf s = Format.pp_print_string ppf (to_string s)
+
+let to_json s =
+  Json.Obj
+    [
+      ("guesses", Json.Int s.guesses);
+      ("pruned", Json.Int s.pruned);
+      ("firings", Json.Int s.firings);
+      ("leaves", Json.Int s.leaves);
+      ("models", Json.Int s.models);
+      ("conflicts", Json.Int s.conflicts);
+      ("learned", Json.Int s.learned);
+      ("restarts", Json.Int s.restarts);
+      ("backjumped", Json.Int s.backjumped);
+      ("unfounded_checks", Json.Int s.unfounded_checks);
+      ("unfounded_sets", Json.Int s.unfounded_sets);
+      ("wall_s", Json.Float s.wall_s);
+    ]

@@ -41,3 +41,7 @@ val accumulate : t -> t -> unit
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+val to_json : t -> Json.t
+(** The search counters both solvers fill, as one JSON object; the
+    preprocessing, sharing and tier fields stay in {!to_string}. *)

@@ -278,3 +278,46 @@ let run_scratch spec =
         s_wall_s = Unix.gettimeofday () -. t0;
       };
   }
+
+let to_json o =
+  let labels ds =
+    Json.List (List.map (fun d -> Json.String (Engine.Delta.label d)) ds)
+  in
+  let s = o.stats in
+  let g = s.s_ground in
+  Json.Obj
+    [
+      ( "rounds",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("level", Json.Int r.r_level);
+                   ("label", Json.String r.r_label);
+                   ("survivors", labels r.r_survivors);
+                   ("eliminated", labels r.r_eliminated);
+                 ])
+             o.rounds) );
+      ("confirmed", labels o.confirmed);
+      ( "stats",
+        Json.Obj
+          [
+            ("rounds", Json.Int s.s_rounds);
+            ("solves", Json.Int s.s_solves);
+            ("hits", Json.Int s.s_hits);
+            ("disk_hits", Json.Int s.s_disk_hits);
+            ("fresh", Json.Int s.s_fresh);
+            ("carried", Json.Int s.s_carried);
+            ("published", Json.Int s.s_published);
+            ("flushes", Json.Int s.s_flushes);
+            ( "ground",
+              Json.Obj
+                [
+                  ("fresh_rules", Json.Int g.Asp.Grounder.Stats.fresh_rules);
+                  ("reused_rules", Json.Int g.Asp.Grounder.Stats.reused_rules);
+                  ("wall_s", Json.Float g.Asp.Grounder.Stats.wall_s);
+                ] );
+            ("wall_s", Json.Float s.s_wall_s);
+          ] );
+    ]

@@ -98,6 +98,11 @@ type outcome = {
   stats : stats;
 }
 
+val to_json : outcome -> Json.t
+(** Rounds (level, label, survivor and eliminated candidate labels), the
+    confirmed labels and the stats, with the grounding split to its
+    fresh/reused instance counts. *)
+
 type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the cache memoizes per candidate fingerprint — the
     {!Engine.Sweep} cache triple, so a serve-layer cache can be shared. *)

@@ -265,44 +265,6 @@ let render_refine ?(stats = false) (o : Cegar.Inc.outcome) =
   end;
   Buffer.contents buf
 
-let refine_to_json (o : Cegar.Inc.outcome) =
-  let buf = Buffer.create 512 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let labels ds = List.map Engine.Delta.label ds in
-  let str_list l =
-    String.concat ", " (List.map (Printf.sprintf "%S") l)
-  in
-  p "{\n  \"rounds\": [\n";
-  let n = List.length o.Cegar.Inc.rounds in
-  List.iteri
-    (fun i (r : Cegar.Inc.round) ->
-      p
-        "    {\"level\": %d, \"label\": %S, \"survivors\": [%s], \
-         \"eliminated\": [%s]}%s\n"
-        r.Cegar.Inc.r_level r.Cegar.Inc.r_label
-        (str_list (labels r.Cegar.Inc.r_survivors))
-        (str_list (labels r.Cegar.Inc.r_eliminated))
-        (if i = n - 1 then "" else ","))
-    o.Cegar.Inc.rounds;
-  p "  ],\n";
-  p "  \"confirmed\": [%s],\n" (str_list (labels o.Cegar.Inc.confirmed));
-  let s = o.Cegar.Inc.stats in
-  p
-    "  \"stats\": {\"rounds\": %d, \"solves\": %d, \"hits\": %d, \
-     \"disk_hits\": %d, \"fresh\": %d, \"carried\": %d, \"published\": %d, \
-     \"flushes\": %d,\n"
-    s.Cegar.Inc.s_rounds s.Cegar.Inc.s_solves s.Cegar.Inc.s_hits
-    s.Cegar.Inc.s_disk_hits s.Cegar.Inc.s_fresh s.Cegar.Inc.s_carried
-    s.Cegar.Inc.s_published s.Cegar.Inc.s_flushes;
-  p
-    "    \"ground\": {\"fresh_rules\": %d, \"reused_rules\": %d, \
-     \"wall_s\": %.6f},\n"
-    s.Cegar.Inc.s_ground.Asp.Grounder.Stats.fresh_rules
-    s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules
-    s.Cegar.Inc.s_ground.Asp.Grounder.Stats.wall_s;
-  p "    \"wall_s\": %.6f}\n}" s.Cegar.Inc.s_wall_s;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Engine-backed mitigation frontier (step 7 at scale)                 *)
 (* ------------------------------------------------------------------ *)
@@ -316,6 +278,11 @@ type frontier_answer =
   | Frontier_solution of Mitigation.Optimizer.solution
   | Frontier_front of Mitigation.Optimizer.solution list
   | Frontier_curve of (int * Mitigation.Optimizer.solution) list
+
+let search_name = function
+  | Frontier_optimal _ -> "optimal"
+  | Frontier_pareto -> "pareto"
+  | Frontier_sweep _ -> "budget-curve"
 
 (* The water-tank catalog over the paper's attack scenario (F4, the
    workstation compromise inducing F1–F3): each action set is one warm
@@ -395,39 +362,25 @@ let render_frontier ?(stats = false) answer (report : Mitigation.Frontier.report
       report.Mitigation.Frontier.r_wall_s;
   Buffer.contents buf
 
-let solution_json (s : Mitigation.Optimizer.solution) =
-  Printf.sprintf "{\"selected\": [%s], \"cost\": %d, \"residual\": %d}"
-    (String.concat ", "
-       (List.map (Printf.sprintf "%S") s.Mitigation.Optimizer.selected))
-    s.Mitigation.Optimizer.cost s.Mitigation.Optimizer.residual
-
-let frontier_to_json answer (report : Mitigation.Frontier.report) =
-  let buf = Buffer.create 256 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\n";
-  (match answer with
-  | Frontier_solution s -> p "  \"optimal\": %s,\n" (solution_json s)
-  | Frontier_front front ->
-      p "  \"pareto\": [%s],\n"
-        (String.concat ", " (List.map solution_json front))
+let answer_to_json answer =
+  let solution = Mitigation.Optimizer.solution_to_json in
+  match answer with
+  | Frontier_solution s -> ("optimal", solution s)
+  | Frontier_front front -> ("pareto", Json.List (List.map solution front))
   | Frontier_curve curve ->
-      p "  \"sweep\": [%s],\n"
-        (String.concat ", "
-           (List.map
-              (fun (b, s) ->
-                Printf.sprintf "{\"budget\": %d, \"solution\": %s}" b
-                  (solution_json s))
-              curve)));
-  p
-    "  \"report\": {\"evals\": %d, \"hits\": %d, \"disk_hits\": %d, \
-     \"fresh\": %d, \"pruned\": %d, \"sum_s\": %.6f, \"critical_s\": %.6f, \
-     \"wall_s\": %.6f}\n}"
-    report.Mitigation.Frontier.r_evals report.Mitigation.Frontier.r_hits
-    report.Mitigation.Frontier.r_disk_hits report.Mitigation.Frontier.r_fresh
-    report.Mitigation.Frontier.r_pruned report.Mitigation.Frontier.r_sum_s
-    report.Mitigation.Frontier.r_critical_s
-    report.Mitigation.Frontier.r_wall_s;
-  Buffer.contents buf
+      ( "sweep",
+        Json.List
+          (List.map
+             (fun (b, s) ->
+               Json.Obj [ ("budget", Json.Int b); ("solution", solution s) ])
+             curve) )
+
+let frontier_to_json answer report =
+  Json.Obj
+    [
+      answer_to_json answer;
+      ("report", Mitigation.Frontier.report_to_json report);
+    ]
 
 let topology_sweep ?jobs ?deltas config =
   let deltas =

@@ -78,7 +78,7 @@ val refine_hierarchy :
     outcome is bit-for-bit identical, only the stats differ. *)
 
 val render_refine : ?stats:bool -> Cegar.Inc.outcome -> string
-val refine_to_json : Cegar.Inc.outcome -> string
+(** The JSON form is {!Cegar.Inc.to_json}. *)
 
 (** {2 Engine-backed mitigation frontier (step 7 at scale)} *)
 
@@ -91,6 +91,10 @@ type frontier_answer =
   | Frontier_solution of Mitigation.Optimizer.solution
   | Frontier_front of Mitigation.Optimizer.solution list
   | Frontier_curve of (int * Mitigation.Optimizer.solution) list
+
+val search_name : frontier_request -> string
+(** ["optimal"], ["pareto"] or ["budget-curve"]: the request's name on
+    the service's wire. *)
 
 val water_tank_frontier_of :
   ?cache:Mitigation.Frontier.value Engine.Cache.t ->
@@ -121,8 +125,14 @@ val mitigate_frontier :
 val render_frontier :
   ?stats:bool -> frontier_answer -> Mitigation.Frontier.report -> string
 
-val frontier_to_json :
-  frontier_answer -> Mitigation.Frontier.report -> string
+val answer_to_json : frontier_answer -> string * Json.t
+(** The answer as one JSON member: ["optimal"] (a solution), ["pareto"]
+    (the front) or ["sweep"] (a list of [{"budget", "solution"}]). The
+    one-shot document and the served [mitigate] reply both embed it. *)
+
+val frontier_to_json : frontier_answer -> Mitigation.Frontier.report -> Json.t
+(** The [cpsrisk mitigate --json] document: the {!answer_to_json} member
+    plus ["report"] ({!Mitigation.Frontier.report_to_json}). *)
 
 val topology_sweep :
   ?jobs:int ->

@@ -27,6 +27,16 @@ type result = {
   source : Cache.source;
 }
 
+let result_to_json r =
+  Json.Obj
+    [
+      ("label", Json.String (Delta.label r.delta));
+      ("fingerprint", Json.String (Fingerprint.to_hex r.fingerprint));
+      ("models", Json.Int (List.length r.models));
+      ("cached", Json.Bool r.cached);
+      ("source", Json.String (Cache.source_to_string r.source));
+    ]
+
 type prepared = {
   p_spec : spec;
   p_base_fp : Fingerprint.t;

@@ -50,6 +50,10 @@ type result = {
           store behind it, or a fresh ground+solve *)
 }
 
+val result_to_json : result -> Json.t
+(** Label, fingerprint, model count, cached flag and source — the
+    per-job entry of {!Sweep.to_json}. *)
+
 type prepared
 (** A spec with the base fingerprinted and its grounding state prepared. *)
 

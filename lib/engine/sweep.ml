@@ -10,6 +10,29 @@ type report = {
   ground : Asp.Grounder.Stats.t;
 }
 
+let tally results =
+  let hits = ref 0 in
+  let disk_hits = ref 0 in
+  let fresh = Asp.Solver.Stats.create () in
+  let ground = Asp.Grounder.Stats.create () in
+  (* a program solved once but hit by several jobs of this sweep counts its
+     stats once: aggregate over distinct fresh fingerprints *)
+  let counted = Hashtbl.create 64 in
+  Array.iter
+    (fun (r : Job.result) ->
+      match r.Job.source with
+      | Cache.Memory -> incr hits
+      | Cache.Disk -> incr disk_hits
+      | Cache.Fresh ->
+          let key = Fingerprint.to_hex r.Job.fingerprint in
+          if not (Hashtbl.mem counted key) then begin
+            Hashtbl.replace counted key ();
+            Asp.Solver.Stats.accumulate fresh r.Job.stats;
+            Asp.Grounder.Stats.add ~into:ground r.Job.gstats
+          end)
+    results;
+  (!hits, !disk_hits, fresh, ground)
+
 let run_prepared ?oversubscribe ?jobs ?cache prepared deltas =
   let t0 = Unix.gettimeofday () in
   let jobs =
@@ -38,48 +61,15 @@ let run_prepared ?oversubscribe ?jobs ?cache prepared deltas =
         })
       (Array.length deltas)
   in
-  let hits = ref 0 in
-  let disk_hits = ref 0 in
-  let fresh = Asp.Solver.Stats.create () in
-  let ground = Asp.Grounder.Stats.create () in
-  (* a program solved once but hit by several jobs of this sweep counts its
-     stats once: aggregate over distinct fresh fingerprints *)
-  let counted = Hashtbl.create 64 in
-  Array.iter
-    (fun (r : Job.result) ->
-      match r.Job.source with
-      | Cache.Memory -> incr hits
-      | Cache.Disk -> incr disk_hits
-      | Cache.Fresh ->
-          let key = Fingerprint.to_hex r.Job.fingerprint in
-          if not (Hashtbl.mem counted key) then begin
-            Hashtbl.replace counted key ();
-            Asp.Solver.Stats.accumulate fresh r.Job.stats;
-            let g = r.Job.gstats in
-            ground.Asp.Grounder.Stats.passes <-
-              ground.Asp.Grounder.Stats.passes + g.Asp.Grounder.Stats.passes;
-            ground.Asp.Grounder.Stats.firings <-
-              ground.Asp.Grounder.Stats.firings + g.Asp.Grounder.Stats.firings;
-            ground.Asp.Grounder.Stats.probes <-
-              ground.Asp.Grounder.Stats.probes + g.Asp.Grounder.Stats.probes;
-            ground.Asp.Grounder.Stats.fresh_rules <-
-              ground.Asp.Grounder.Stats.fresh_rules
-              + g.Asp.Grounder.Stats.fresh_rules;
-            ground.Asp.Grounder.Stats.reused_rules <-
-              ground.Asp.Grounder.Stats.reused_rules
-              + g.Asp.Grounder.Stats.reused_rules;
-            ground.Asp.Grounder.Stats.wall_s <-
-              ground.Asp.Grounder.Stats.wall_s +. g.Asp.Grounder.Stats.wall_s
-          end)
-    results;
+  let hits, disk_hits, fresh, ground = tally results in
   {
     results;
     jobs;
     wall_s = Unix.gettimeofday () -. t0;
     base_atoms = Job.base_atoms prepared;
-    hits = !hits;
-    disk_hits = !disk_hits;
-    misses = Array.length results - !hits - !disk_hits;
+    hits;
+    disk_hits;
+    misses = Array.length results - hits - disk_hits;
     fresh;
     ground;
   }
@@ -126,45 +116,22 @@ let render ?(verbose = false) r =
   Buffer.contents buf
 
 let to_json r =
-  let buf = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  p "{\n";
-  p "  \"jobs\": %d, \"deltas\": %d, \"wall_s\": %.6f, \"base_atoms\": %d,\n"
-    r.jobs (Array.length r.results) r.wall_s r.base_atoms;
-  p
-    "  \"cache\": {\"hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-     \"hit_rate\": %.4f},\n"
-    r.hits r.disk_hits r.misses (hit_rate r);
-  p
-    "  \"fresh\": {\"guesses\": %d, \"pruned\": %d, \"firings\": %d, \
-     \"leaves\": %d, \"models\": %d, \"conflicts\": %d, \"learned\": %d, \
-     \"restarts\": %d, \"backjumped\": %d, \"unfounded_checks\": %d, \
-     \"unfounded_sets\": %d, \"wall_s\": %.6f},\n"
-    r.fresh.Asp.Solver.Stats.guesses r.fresh.Asp.Solver.Stats.pruned
-    r.fresh.Asp.Solver.Stats.firings r.fresh.Asp.Solver.Stats.leaves
-    r.fresh.Asp.Solver.Stats.models r.fresh.Asp.Solver.Stats.conflicts
-    r.fresh.Asp.Solver.Stats.learned r.fresh.Asp.Solver.Stats.restarts
-    r.fresh.Asp.Solver.Stats.backjumped
-    r.fresh.Asp.Solver.Stats.unfounded_checks
-    r.fresh.Asp.Solver.Stats.unfounded_sets r.fresh.Asp.Solver.Stats.wall_s;
-  p
-    "  \"ground\": {\"passes\": %d, \"firings\": %d, \"probes\": %d, \
-     \"fresh_rules\": %d, \"reused_rules\": %d, \"wall_s\": %.6f},\n"
-    r.ground.Asp.Grounder.Stats.passes r.ground.Asp.Grounder.Stats.firings
-    r.ground.Asp.Grounder.Stats.probes r.ground.Asp.Grounder.Stats.fresh_rules
-    r.ground.Asp.Grounder.Stats.reused_rules r.ground.Asp.Grounder.Stats.wall_s;
-  p "  \"results\": [\n";
-  let n = Array.length r.results in
-  Array.iteri
-    (fun i (res : Job.result) ->
-      p "    {\"label\": %S, \"fingerprint\": %S, \"models\": %d, \
-         \"cached\": %b, \"source\": %S}%s\n"
-        (Delta.label res.Job.delta)
-        (Fingerprint.to_hex res.Job.fingerprint)
-        (List.length res.Job.models)
-        res.Job.cached
-        (Cache.source_to_string res.Job.source)
-        (if i = n - 1 then "" else ","))
-    r.results;
-  p "  ]\n}";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("jobs", Json.Int r.jobs);
+      ("deltas", Json.Int (Array.length r.results));
+      ("wall_s", Json.Float r.wall_s);
+      ("base_atoms", Json.Int r.base_atoms);
+      ( "cache",
+        Json.Obj
+          [
+            ("hits", Json.Int r.hits);
+            ("disk_hits", Json.Int r.disk_hits);
+            ("misses", Json.Int r.misses);
+            ("hit_rate", Json.Float (hit_rate r));
+          ] );
+      ("fresh", Asp.Solver.Stats.to_json r.fresh);
+      ("ground", Asp.Grounder.Stats.to_json r.ground);
+      ( "results",
+        Json.List (Array.to_list (Array.map Job.result_to_json r.results)) );
+    ]

@@ -56,6 +56,12 @@ val run_prepared :
     prepared state is only read, so one base may serve many concurrent
     and consecutive [run_prepared] calls. *)
 
+val tally :
+  Job.result array -> int * int * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+(** [(hits, disk_hits, fresh, ground)] over some results, as a report
+    counts them: memory and disk hits, then the solver and grounder stats
+    summed over the distinct fingerprints solved fresh. *)
+
 val hit_rate : report -> float
 (** Memory + disk hits over total jobs, in [0, 1]; 0 on an empty sweep. *)
 
@@ -64,6 +70,6 @@ val render : ?verbose:bool -> report -> string
     model count, cache provenance — [*] memory, [+] disk — and
     fingerprint). *)
 
-val to_json : report -> string
+val to_json : report -> Json.t
 (** Machine-readable report: sweep-level counters plus one entry per job
-    (label, fingerprint, model count, cached flag, source). *)
+    ({!Job.result_to_json}). *)

@@ -79,45 +79,15 @@ let to_string d =
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-(* ------------------------------------------------------------------ *)
-(* JSON rendering (no external dependency)                             *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let fields =
-    [
-      Some (Printf.sprintf {|"code":"%s"|} (json_escape d.code));
-      Some
-        (Printf.sprintf {|"severity":"%s"|}
-           (severity_to_string d.severity));
-      Option.map (fun p -> Printf.sprintf {|"line":%d|} p.line) d.pos;
-      Option.bind d.pos (fun p ->
-          if p.col > 0 then Some (Printf.sprintf {|"col":%d|} p.col) else None);
-      Option.map
-        (fun s -> Printf.sprintf {|"subject":"%s"|} (json_escape s))
-        d.subject;
-      Some (Printf.sprintf {|"message":"%s"|} (json_escape d.message));
-    ]
-  in
-  "{" ^ String.concat "," (List.filter_map Fun.id fields) ^ "}"
-
-let list_to_json ds =
-  match ds with
-  | [] -> "[]"
-  | ds -> "[\n  " ^ String.concat ",\n  " (List.map to_json ds) ^ "\n]"
+  Json.Obj
+    (List.filter_map Fun.id
+       [
+         Some ("code", Json.String d.code);
+         Some ("severity", Json.String (severity_to_string d.severity));
+         Option.map (fun p -> ("line", Json.Int p.line)) d.pos;
+         Option.bind d.pos (fun p ->
+             if p.col > 0 then Some ("col", Json.Int p.col) else None);
+         Option.map (fun s -> ("subject", Json.String s)) d.subject;
+         Some ("message", Json.String d.message);
+       ])

@@ -59,5 +59,6 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : t -> string
-val list_to_json : t list -> string
+val to_json : t -> Json.t
+(** [{"code", "severity", "line", "col", "subject", "message"}]; the
+    position and subject members are omitted when absent, [col] when 0. *)

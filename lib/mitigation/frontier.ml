@@ -34,6 +34,19 @@ type report = {
   r_wall_s : float;
 }
 
+let report_to_json r =
+  Json.Obj
+    [
+      ("evals", Json.Int r.r_evals);
+      ("hits", Json.Int r.r_hits);
+      ("disk_hits", Json.Int r.r_disk_hits);
+      ("fresh", Json.Int r.r_fresh);
+      ("pruned", Json.Int r.r_pruned);
+      ("sum_s", Json.Float r.r_sum_s);
+      ("critical_s", Json.Float r.r_critical_s);
+      ("wall_s", Json.Float r.r_wall_s);
+    ]
+
 let evaluate t ids =
   let selected = List.sort_uniq String.compare ids in
   let d = t.f_delta ~active:selected in

@@ -58,6 +58,9 @@ type report = {
   r_wall_s : float;
 }
 
+val report_to_json : report -> Json.t
+(** Every counter and timing, keyed by the field name without [r_]. *)
+
 val evaluate : t -> string list -> Optimizer.solution * Engine.Cache.source
 (** One action set through the warm state and cache. *)
 

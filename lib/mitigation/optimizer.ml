@@ -184,3 +184,11 @@ let pp_solution ppf s =
   Format.fprintf ppf "{%s} cost=%d residual=%d"
     (String.concat "," s.selected)
     s.cost s.residual
+
+let solution_to_json s =
+  Json.Obj
+    [
+      ("selected", Json.List (List.map (fun a -> Json.String a) s.selected));
+      ("cost", Json.Int s.cost);
+      ("residual", Json.Int s.residual);
+    ]

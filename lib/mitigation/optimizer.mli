@@ -78,3 +78,6 @@ val benefit : problem -> solution -> int
 (** Loss reduction w.r.t. doing nothing: residual(∅) − residual(sel). *)
 
 val pp_solution : Format.formatter -> solution -> unit
+
+val solution_to_json : solution -> Json.t
+(** [{"selected": [...], "cost": n, "residual": n}] *)

@@ -11,19 +11,6 @@ let backend_of_string = function
   | "hierarchy" -> Some Hierarchy
   | _ -> None
 
-type frontier_op = Optimal | Pareto | Budget_curve
-
-let frontier_op_to_string = function
-  | Optimal -> "optimal"
-  | Pareto -> "pareto"
-  | Budget_curve -> "budget-curve"
-
-let frontier_op_of_string = function
-  | "optimal" -> Some Optimal
-  | "pareto" -> Some Pareto
-  | "budget-curve" -> Some Budget_curve
-  | _ -> None
-
 type request =
   | Load_model of {
       name : string;
@@ -34,9 +21,7 @@ type request =
   | Sweep of { model : string; mutations : string; jobs : int option }
   | Mitigate of {
       model : string;
-      op : frontier_op;
-      budget : int option;
-      budgets : int list;
+      search : Cpsrisk.Pipeline.frontier_request;
       jobs : int option;
     }
   | Solve of { program : string; limit : int option; optimal : bool }
@@ -74,22 +59,24 @@ let request_to_json = function
              ];
              (match jobs with Some j -> [ ("jobs", Json.Int j) ] | None -> []);
            ])
-  | Mitigate { model; op; budget; budgets; jobs } ->
+  | Mitigate { model; search; jobs } ->
       Json.Obj
         (List.concat
            [
              [
                ("op", Json.String "mitigate");
                ("model", Json.String model);
-               ("search", Json.String (frontier_op_to_string op));
+               ( "search",
+                 Json.String (Cpsrisk.Pipeline.search_name search) );
              ];
-             (match budget with
-             | Some b -> [ ("budget", Json.Int b) ]
-             | None -> []);
-             (match budgets with
-             | [] -> []
-             | bs ->
-                 [ ("budgets", Json.List (List.map (fun b -> Json.Int b) bs)) ]);
+             (match search with
+             | Cpsrisk.Pipeline.Frontier_optimal (Some b) ->
+                 [ ("budget", Json.Int b) ]
+             | Cpsrisk.Pipeline.Frontier_sweep bs ->
+                 [ ("budgets", Json.List (List.map (fun b -> Json.Int b) bs)) ]
+             | Cpsrisk.Pipeline.Frontier_optimal None
+             | Cpsrisk.Pipeline.Frontier_pareto ->
+                 []);
              (match jobs with Some j -> [ ("jobs", Json.Int j) ] | None -> []);
            ])
   | Solve { program; limit; optimal } ->
@@ -147,38 +134,38 @@ let request_of_json json =
           match Json.mem_string "model" json with
           | None -> Error "mitigate: missing \"model\""
           | Some model -> (
-              let search =
-                Option.value ~default:"optimal"
-                  (Json.mem_string "search" json)
+              let budgets =
+                match Json.mem_list "budgets" json with
+                | None -> []
+                | Some items ->
+                    List.filter_map
+                      (function Json.Int b -> Some b | _ -> None)
+                      items
               in
-              match frontier_op_of_string search with
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "mitigate: unknown search %S (optimal | pareto | \
-                        budget-curve)"
-                       search)
-              | Some op ->
-                  let budgets =
-                    match Json.mem_list "budgets" json with
-                    | None -> []
-                    | Some items ->
-                        List.filter_map
-                          (function Json.Int b -> Some b | _ -> None)
-                          items
-                  in
-                  if op = Budget_curve && budgets = [] then
-                    Error "mitigate: budget-curve needs a \"budgets\" list"
-                  else
+              let search =
+                match
+                  Option.value ~default:"optimal"
+                    (Json.mem_string "search" json)
+                with
+                | "optimal" ->
                     Ok
-                      (Mitigate
-                         {
-                           model;
-                           op;
-                           budget = Json.mem_int "budget" json;
-                           budgets;
-                           jobs = Json.mem_int "jobs" json;
-                         })))
+                      (Cpsrisk.Pipeline.Frontier_optimal
+                         (Json.mem_int "budget" json))
+                | "pareto" -> Ok Cpsrisk.Pipeline.Frontier_pareto
+                | "budget-curve" when budgets = [] ->
+                    Error "mitigate: budget-curve needs a \"budgets\" list"
+                | "budget-curve" -> Ok (Cpsrisk.Pipeline.Frontier_sweep budgets)
+                | search ->
+                    Error
+                      (Printf.sprintf
+                         "mitigate: unknown search %S (optimal | pareto | \
+                          budget-curve)"
+                         search)
+              in
+              Result.map
+                (fun search ->
+                  Mitigate { model; search; jobs = Json.mem_int "jobs" json })
+                search))
       | "solve" -> (
           match Json.mem_string "program" json with
           | None -> Error "solve: missing \"program\""

@@ -13,11 +13,6 @@ type backend = Water_tank | Topology | Hierarchy
 val backend_to_string : backend -> string
 val backend_of_string : string -> backend option
 
-type frontier_op = Optimal | Pareto | Budget_curve
-
-val frontier_op_to_string : frontier_op -> string
-val frontier_op_of_string : string -> frontier_op option
-
 type request =
   | Load_model of {
       name : string;
@@ -36,9 +31,10 @@ type request =
     }
   | Mitigate of {
       model : string;  (** a name loaded earlier *)
-      op : frontier_op;
-      budget : int option;  (** for [Optimal] *)
-      budgets : int list;  (** for [Budget_curve] *)
+      search : Cpsrisk.Pipeline.frontier_request;
+          (** on the wire: ["search"] ({!Cpsrisk.Pipeline.search_name}),
+              plus ["budget"] for an optimal search and ["budgets"] for a
+              budget curve *)
       jobs : int option;
     }
       (** mitigation-frontier search answered from the model's warm

@@ -147,58 +147,30 @@ let result_to_json (entry : Registry.entry) (r : Engine.Job.result) =
          backend_fields;
        ])
 
-let slice_counters results =
-  let hits = ref 0 and disk = ref 0 and misses = ref 0 in
-  let fresh = Asp.Solver.Stats.create () in
-  let fresh_rules = ref 0 and reused_rules = ref 0 in
-  let counted = Hashtbl.create 16 in
-  Array.iter
-    (fun (r : Engine.Job.result) ->
-      match r.Engine.Job.source with
-      | Engine.Cache.Memory -> incr hits
-      | Engine.Cache.Disk -> incr disk
-      | Engine.Cache.Fresh ->
-          incr misses;
-          let key = Engine.Fingerprint.to_hex r.Engine.Job.fingerprint in
-          if not (Hashtbl.mem counted key) then begin
-            Hashtbl.replace counted key ();
-            Asp.Solver.Stats.accumulate fresh r.Engine.Job.stats;
-            fresh_rules :=
-              !fresh_rules
-              + r.Engine.Job.gstats.Asp.Grounder.Stats.fresh_rules;
-            reused_rules :=
-              !reused_rules
-              + r.Engine.Job.gstats.Asp.Grounder.Stats.reused_rules
-          end)
-    results;
-  ( !hits,
-    !disk,
-    !misses,
-    Json.Obj
-      [
-        ("guesses", Json.Int fresh.Asp.Solver.Stats.guesses);
-        ("firings", Json.Int fresh.Asp.Solver.Stats.firings);
-        ("conflicts", Json.Int fresh.Asp.Solver.Stats.conflicts);
-        ("models", Json.Int fresh.Asp.Solver.Stats.models);
-        ("wall_s", Json.Float fresh.Asp.Solver.Stats.wall_s);
-      ],
-    Json.Obj
-      [
-        ("fresh_rules", Json.Int !fresh_rules);
-        ("reused_rules", Json.Int !reused_rules);
-      ] )
-
 let sweep_response entry (reply : sweep_reply) wall_s =
-  let hits, disk_hits, misses, fresh, ground = slice_counters reply.results in
+  let hits, disk_hits, fresh, ground = Engine.Sweep.tally reply.results in
   Protocol.ok
     [
       ("model", Json.String entry.Registry.name);
       ("deltas", Json.Int (Array.length reply.results));
       ("hits", Json.Int hits);
       ("disk_hits", Json.Int disk_hits);
-      ("misses", Json.Int misses);
-      ("fresh", fresh);
-      ("ground", ground);
+      ("misses", Json.Int (Array.length reply.results - hits - disk_hits));
+      ( "fresh",
+        Json.Obj
+          [
+            ("guesses", Json.Int fresh.Asp.Solver.Stats.guesses);
+            ("firings", Json.Int fresh.Asp.Solver.Stats.firings);
+            ("conflicts", Json.Int fresh.Asp.Solver.Stats.conflicts);
+            ("models", Json.Int fresh.Asp.Solver.Stats.models);
+            ("wall_s", Json.Float fresh.Asp.Solver.Stats.wall_s);
+          ] );
+      ( "ground",
+        Json.Obj
+          [
+            ("fresh_rules", Json.Int ground.Asp.Grounder.Stats.fresh_rules);
+            ("reused_rules", Json.Int ground.Asp.Grounder.Stats.reused_rules);
+          ] );
       ("batched_with", Json.Int (reply.batch_size - 1));
       ("batch_wall_s", Json.Float reply.batch_wall_s);
       ("wall_s", Json.Float wall_s);
@@ -207,50 +179,13 @@ let sweep_response entry (reply : sweep_reply) wall_s =
           (Array.to_list (Array.map (result_to_json entry) reply.results)) );
     ]
 
-let solution_to_json (s : Mitigation.Optimizer.solution) =
-  Json.Obj
-    [
-      ( "selected",
-        Json.List
-          (List.map (fun a -> Json.String a) s.Mitigation.Optimizer.selected) );
-      ("cost", Json.Int s.Mitigation.Optimizer.cost);
-      ("residual", Json.Int s.Mitigation.Optimizer.residual);
-    ]
-
-let frontier_report_to_json (r : Mitigation.Frontier.report) =
-  Json.Obj
-    [
-      ("evals", Json.Int r.Mitigation.Frontier.r_evals);
-      ("hits", Json.Int r.Mitigation.Frontier.r_hits);
-      ("disk_hits", Json.Int r.Mitigation.Frontier.r_disk_hits);
-      ("fresh", Json.Int r.Mitigation.Frontier.r_fresh);
-      ("pruned", Json.Int r.Mitigation.Frontier.r_pruned);
-      ("sum_s", Json.Float r.Mitigation.Frontier.r_sum_s);
-      ("critical_s", Json.Float r.Mitigation.Frontier.r_critical_s);
-      ("wall_s", Json.Float r.Mitigation.Frontier.r_wall_s);
-    ]
-
-let mitigate_response entry op answer report wall_s =
-  let answer_field =
-    match (answer : Cpsrisk.Pipeline.frontier_answer) with
-    | Cpsrisk.Pipeline.Frontier_solution s -> ("optimal", solution_to_json s)
-    | Cpsrisk.Pipeline.Frontier_front front ->
-        ("pareto", Json.List (List.map solution_to_json front))
-    | Cpsrisk.Pipeline.Frontier_curve curve ->
-        ( "curve",
-          Json.List
-            (List.map
-               (fun (b, s) ->
-                 Json.Obj
-                   [ ("budget", Json.Int b); ("solution", solution_to_json s) ])
-               curve) )
-  in
+let mitigate_response entry search answer report wall_s =
   Protocol.ok
     [
       ("model", Json.String entry.Registry.name);
-      ("search", Json.String (Protocol.frontier_op_to_string op));
-      answer_field;
-      ("report", frontier_report_to_json report);
+      ("search", Json.String (Cpsrisk.Pipeline.search_name search));
+      Cpsrisk.Pipeline.answer_to_json answer;
+      ("report", Mitigation.Frontier.report_to_json report);
       ("wall_s", Json.Float wall_s);
     ]
 
@@ -395,7 +330,7 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
                   (Protocol.error "server shutting down", false)
               | exception e ->
                   (Protocol.error (Printexc.to_string e), false))))
-  | Protocol.Mitigate { model; op; budget; budgets; jobs } -> (
+  | Protocol.Mitigate { model; search; jobs } -> (
       match Registry.find t.registry model with
       | None ->
           ( Protocol.error
@@ -413,22 +348,15 @@ let handle_request t (request : Protocol.request) : Json.t * bool =
               let jobs =
                 match jobs with Some _ -> jobs | None -> t.config.jobs
               in
-              let request =
-                match op with
-                | Protocol.Optimal -> Cpsrisk.Pipeline.Frontier_optimal budget
-                | Protocol.Pareto -> Cpsrisk.Pipeline.Frontier_pareto
-                | Protocol.Budget_curve ->
-                    Cpsrisk.Pipeline.Frontier_sweep budgets
-              in
-              match Cpsrisk.Pipeline.mitigate_frontier ?jobs f request with
+              match Cpsrisk.Pipeline.mitigate_frontier ?jobs f search with
               | answer, report ->
                   entry.Registry.mitigations <- entry.Registry.mitigations + 1;
                   log t "mitigate %s: %s (%d evals, %d cached)" model
-                    (Protocol.frontier_op_to_string op)
+                    (Cpsrisk.Pipeline.search_name search)
                     report.Mitigation.Frontier.r_evals
                     (report.Mitigation.Frontier.r_hits
                     + report.Mitigation.Frontier.r_disk_hits);
-                  ( mitigate_response entry op answer report
+                  ( mitigate_response entry search answer report
                       (Unix.gettimeofday () -. t0),
                     false )
               | exception e ->

@@ -65,8 +65,9 @@ expect repeat.json '"hits":3,"disk_hits":0,"misses":0' "warm-memory repeat"
 # --- mitigation frontier answered from the loaded model's warm state -----
 "$CLI" request mitigate --socket s.sock --name wt > mit.json
 "$CLI" mitigate --frontier --case water-tank --json \
-  | grep -o '"optimal": {[^}]*}' | tr -d ' ' > mit_oneshot.txt
+  | grep -o '"optimal":{[^}]*}' > mit_oneshot.txt
 grep -o '"optimal":{[^}]*}' mit.json > mit_served.txt
+expect mit_oneshot.txt '"optimal":{"selected":' "one-shot mitigate answer"
 diff mit_oneshot.txt mit_served.txt \
   || { echo "serve-smoke: served mitigate differs from one-shot" >&2; exit 1; }
 "$CLI" request mitigate --socket s.sock --name wt --json > mit2.json
@@ -76,7 +77,7 @@ expect mit2.json '"fresh":0' "warm mitigate repeat runs no fresh solves"
 "$CLI" request load-model --socket s.sock --name hier --backend hierarchy \
   > /dev/null
 "$CLI" request mitigate --socket s.sock --name hier --budgets 3,9 > hier.json
-expect hier.json '"curve":[{"budget":3' "hierarchy budget curve"
+expect hier.json '"sweep":[{"budget":3' "hierarchy budget curve"
 stop_daemon
 
 # --- restarted daemon: everything must come from the persistent store ----

@@ -401,6 +401,58 @@ let test_par_limit_sequential () =
   check Alcotest.int "limited count" 3 (List.length r.Engine.Par.models);
   check Alcotest.int "limit forces one path" 1 r.Engine.Par.paths
 
+(* ------------------------------------------------------------------ *)
+(* JSON documents carry user text verbatim                              *)
+(* ------------------------------------------------------------------ *)
+
+(* delta labels and action ids are user text: the --json documents must
+   stay valid JSON and carry them byte for byte *)
+let awkward = [ "caf\xc3\xa9"; "a\"b"; "x\\y"; "tab\there" ]
+
+let reparse j =
+  match Json.parse (Json.to_string j) with
+  | Ok j -> j
+  | Error e -> Alcotest.fail ("invalid JSON: " ^ e)
+
+let test_json_user_text () =
+  let deltas =
+    List.map (fun label -> Engine.Delta.make ~label [ "F1" ]) awkward
+  in
+  let report =
+    Engine.Sweep.run ~jobs:1 (Cpsrisk.Sweeps.water_tank_spec ~horizon:4 deltas)
+  in
+  let results =
+    Option.value ~default:[]
+      (Json.mem_list "results" (reparse (Engine.Sweep.to_json report)))
+  in
+  check (Alcotest.list Alcotest.string) "sweep labels" awkward
+    (List.filter_map (Json.mem_string "label") results);
+  let plan =
+    { Mitigation.Optimizer.selected = awkward; cost = 3; residual = 1 }
+  in
+  let report =
+    {
+      Mitigation.Frontier.r_evals = 1;
+      r_hits = 0;
+      r_disk_hits = 0;
+      r_fresh = 1;
+      r_pruned = 0;
+      r_sum_s = 0.5;
+      r_critical_s = 0.5;
+      r_wall_s = 0.5;
+    }
+  in
+  let doc =
+    reparse
+      (Cpsrisk.Pipeline.frontier_to_json
+         (Cpsrisk.Pipeline.Frontier_solution plan)
+         report)
+  in
+  check (Alcotest.list Alcotest.string) "mitigation action ids" awkward
+    (Option.bind (Json.member "optimal" doc) (Json.mem_list "selected")
+    |> Option.value ~default:[]
+    |> List.filter_map Json.string_opt)
+
 let suites =
   [
     ( "engine",
@@ -441,5 +493,7 @@ let suites =
           test_par_limit_sequential;
         Alcotest.test_case "optimizer: parallel equals sequential" `Quick
           test_optimizer_par;
+        Alcotest.test_case "json: user text round-trips through --json"
+          `Quick test_json_user_text;
       ] );
   ]

@@ -343,6 +343,20 @@ let test_protocol_roundtrip () =
         };
       Serve.Protocol.Sweep
         { model = "wt"; mutations = "s1: F1 / M1\n"; jobs = Some 4 };
+      Serve.Protocol.Mitigate
+        {
+          model = "wt";
+          search = Cpsrisk.Pipeline.Frontier_optimal (Some 3);
+          jobs = Some 2;
+        };
+      Serve.Protocol.Mitigate
+        { model = "wt"; search = Cpsrisk.Pipeline.Frontier_pareto; jobs = None };
+      Serve.Protocol.Mitigate
+        {
+          model = "hier";
+          search = Cpsrisk.Pipeline.Frontier_sweep [ 3; 9 ];
+          jobs = None;
+        };
       Serve.Protocol.Solve
         { program = "p(1)."; limit = Some 2; optimal = false };
       Serve.Protocol.Solve { program = "q."; limit = None; optimal = true };
@@ -374,6 +388,8 @@ let test_protocol_errors () =
       {|{"op":"teleport"}|};
       {|{"op":"sweep","model":"wt"}|};
       {|{"op":"load-model","name":"x","backend":"quantum"}|};
+      {|{"op":"mitigate","model":"wt","search":"budget-curve"}|};
+      {|{"op":"mitigate","model":"wt","search":"anneal"}|};
     ];
   (* responses split on "ok" *)
   (match Serve.Protocol.response_result (Serve.Protocol.ok []) with
@@ -420,6 +436,85 @@ let test_registry () =
   checki "empty" 0 (Serve.Registry.count reg);
   Serve.Store.close store
 
+(* ------------------------------------------------------------------ *)
+(* Served answers equal one-shot answers                                *)
+(* ------------------------------------------------------------------ *)
+
+let with_daemon f =
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cpsrisk-test-%d.sock" (Unix.getpid ()))
+  in
+  let daemon =
+    Thread.create
+      (fun () ->
+        Serve.Server.run { Serve.Server.default_config with socket; jobs = Some 1 })
+      ()
+  in
+  let call request =
+    match
+      Serve.Client.request ~socket (Serve.Protocol.request_to_json request)
+    with
+    | Ok reply -> reply
+    | Error e -> Alcotest.fail e
+  in
+  let rec await tries =
+    match Serve.Client.connect socket with
+    | c -> Serve.Client.close c
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Thread.delay 0.05;
+        await (tries - 1)
+  in
+  await 200;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (call Serve.Protocol.Shutdown);
+      Thread.join daemon)
+    (fun () -> f call)
+
+(* every search on both action catalogs: the [mitigate] reply's answer
+   member is the one `cpsrisk mitigate --json` prints for the same search
+   over a fresh one-shot frontier *)
+let test_mitigate_served_equals_oneshot () =
+  with_daemon @@ fun call ->
+  List.iter
+    (fun (name, backend, frontier, searches) ->
+      ignore
+        (call
+           (Serve.Protocol.Load_model
+              { name; backend; horizon = None; model_src = None }));
+      List.iter
+        (fun search ->
+          let reply =
+            call (Serve.Protocol.Mitigate { model = name; search; jobs = None })
+          in
+          let key, expected =
+            Cpsrisk.Pipeline.answer_to_json
+              (fst (Cpsrisk.Pipeline.mitigate_frontier ~jobs:1 frontier search))
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s %s" name (Cpsrisk.Pipeline.search_name search))
+            (Serve.Json.to_string expected)
+            (match Serve.Json.member key reply with
+            | Some served -> Serve.Json.to_string served
+            | None -> Serve.Json.to_string reply))
+        searches)
+    [
+      ( "wt",
+        Serve.Protocol.Water_tank,
+        Cpsrisk.Pipeline.water_tank_frontier (),
+        Cpsrisk.Pipeline.
+          [ Frontier_optimal (Some 3); Frontier_pareto; Frontier_sweep [ 1; 2; 4 ] ]
+      );
+      ( "hier",
+        Serve.Protocol.Hierarchy,
+        Cpsrisk.Hierarchy.frontier (),
+        Cpsrisk.Pipeline.
+          [ Frontier_optimal (Some 12); Frontier_pareto; Frontier_sweep [ 3; 9 ] ]
+      );
+    ]
+
 let suites =
   [
     ( "serve",
@@ -450,5 +545,7 @@ let suites =
           test_protocol_errors;
         Alcotest.test_case "registry: load, serve, re-load from disk" `Quick
           test_registry;
+        Alcotest.test_case "mitigate: served answer equals one-shot" `Quick
+          test_mitigate_served_equals_oneshot;
       ] );
   ]
