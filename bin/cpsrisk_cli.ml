@@ -674,11 +674,8 @@ let sweep_cmd =
 (* refine / mitigate                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let refine levels entries mode jobs scratch no_share stats json =
-  match
-    Cpsrisk.Pipeline.refine_hierarchy ?jobs ~levels ~entries ~mode
-      ~share:(not no_share) ~scratch ()
-  with
+let refine levels entries stats json =
+  match Cpsrisk.Pipeline.refine_hierarchy ~levels ~entries () with
   | outcome ->
       if json then print_json (Cegar.Inc.to_json outcome)
       else print_string (Cpsrisk.Pipeline.render_refine ~stats outcome);
@@ -702,39 +699,13 @@ let refine_cmd =
       & info [ "entries"; "e" ] ~docv:"N"
           ~doc:"Candidate entry-point hypotheses (must exceed --levels).")
   in
-  let mode_arg =
-    Arg.(
-      value
-      & opt (enum [ ("assume", `Assume); ("increment", `Increment) ]) `Assume
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Candidate encoding: $(b,assume) pins hypotheses with solver \
-             assumptions over one shared ground program (enables \
-             learned-nogood carry); $(b,increment) extends the warm \
-             grounder per candidate (deduplicated through the cache).")
-  in
-  let scratch_flag =
-    Arg.(
-      value & flag
-      & info [ "scratch" ]
-          ~doc:
-            "Run the retained cold-grounding oracle instead of the \
-             incremental driver (same outcome, no reuse).")
-  in
-  let no_share_flag =
-    Arg.(
-      value & flag
-      & info [ "no-share" ]
-          ~doc:"Disable learned-nogood carry between candidate solves.")
-  in
   let stats_flag =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
             "Print solver/cache/grounding statistics: fresh solves vs \
-             cache hits, nogoods carried and published, extend-vs-scratch \
-             grounding reuse.")
+             cache hits and extend-vs-scratch grounding reuse.")
   in
   let json_flag =
     Arg.(
@@ -751,15 +722,13 @@ let refine_cmd =
              "Runs the layered-zone refinement schedule through the \
               incremental CEGAR driver: the base abstraction is grounded \
               once, every refinement level extends the warm grounder state \
-              of the previous one, candidate hypotheses are assessed in \
-              parallel, and (in assume mode) conflict clauses learned \
-              while refuting one candidate prune the others. The outcome \
-              is bit-for-bit the one of $(b,--scratch), which re-grounds \
-              everything from nothing each round.";
+              of the previous one, and each candidate hypothesis is \
+              grounded as a program increment over that state, in \
+              candidate order. The outcome is bit-for-bit the one of the \
+              retained oracle that re-grounds everything from nothing each \
+              round.";
          ])
-    Term.(
-      const refine $ levels_arg $ entries_arg $ mode_arg $ jobs_arg
-      $ scratch_flag $ no_share_flag $ stats_flag $ json_flag)
+    Term.(const refine $ levels_arg $ entries_arg $ stats_flag $ json_flag)
 
 (* The search `mitigate` and `request mitigate` run: --pareto wins over
    --budgets, which wins over the single optimal search *)
@@ -794,34 +763,27 @@ let frontier_request_term =
   in
   Term.(const request $ budget $ budgets $ pareto)
 
-let mitigate frontier case request jobs horizon stats json =
+let mitigate () case request jobs horizon stats json =
   match Cpsrisk.Ops.frontier ?horizon case with
   | Error msg ->
       prerr_endline msg;
       1
   | Ok f ->
-      let answer, report =
-        (if frontier then Cpsrisk.Pipeline.mitigate_frontier ?jobs
-         else Cpsrisk.Pipeline.mitigate_scratch)
-          f request
-      in
+      let answer, report = Cpsrisk.Pipeline.mitigate_frontier ?jobs f request in
       if json then print_json (Cpsrisk.Pipeline.frontier_to_json answer report)
       else
-        print_string
-          (Cpsrisk.Pipeline.render_frontier ~stats:(stats && frontier) answer
-             report);
+        print_string (Cpsrisk.Pipeline.render_frontier ~stats answer report);
       0
 
 let mitigate_cmd =
+  (* still accepted so that scripts passing it keep working *)
   let frontier_flag =
-    Arg.(
-      value & flag
-      & info [ "frontier" ]
-          ~doc:
-            "Evaluate candidate action sets as fingerprinted deltas over \
-             warm engine state — cache-deduplicated, fanned out over \
-             worker domains, branch-and-bound pruned. Without it the \
-             retained scratch search runs (same answers, cold).")
+    Term.(
+      const ignore
+      $ Arg.(
+          value & flag
+          & info [ "frontier" ]
+              ~doc:"Accepted and ignored: the frontier is the only search."))
   in
   let case_arg =
     Arg.(
@@ -853,13 +815,13 @@ let mitigate_cmd =
            `P
              "Searches the mitigation-action subsets of the chosen case \
               study for optimal plans, Pareto fronts and cost/benefit \
-              curves. With $(b,--frontier), every candidate subset is one \
-              fingerprinted delta over the prepared base encoding: \
-              structurally identical what-ifs are answered from the cache, \
-              independent evaluations fan out over worker domains, and \
-              the optimal search prunes subtrees whose full-inclusion \
-              bound already loses. Answers are bit-for-bit those of the \
-              retained scratch search.";
+              curves. Every candidate subset is one fingerprinted delta \
+              over the prepared base encoding: structurally identical \
+              what-ifs are answered from the cache, independent \
+              evaluations fan out over worker domains, and the optimal \
+              search prunes subtrees whose full-inclusion bound already \
+              loses. Answers are bit-for-bit those of the retained \
+              scratch search the tests compare against.";
          ])
     Term.(
       const mitigate $ frontier_flag $ case_arg $ frontier_request_term

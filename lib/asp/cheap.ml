@@ -58,10 +58,47 @@ let gate (p : Interned.t) =
               c.Interned.elems)
        p.Interned.choices
 
+(* compressed adjacency: row [v] is [items.(start.(v)) ..
+   items.(start.(v + 1) - 1)] *)
+type csr = { start : int array; items : int array }
+
+(* [iter ri emit] calls [emit v x] once per entry [x] of row [v] that
+   rule [ri] contributes *)
+let csr n n_rules iter =
+  let start = Array.make (n + 1) 0 in
+  for ri = 0 to n_rules - 1 do
+    iter ri (fun v _ -> start.(v + 1) <- start.(v + 1) + 1)
+  done;
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 n in
+  let items = Array.make start.(n) 0 in
+  for ri = 0 to n_rules - 1 do
+    iter ri (fun v x ->
+        items.(fill.(v)) <- x;
+        fill.(v) <- fill.(v) + 1)
+  done;
+  { start; items }
+
+(* atom -> rules with that atom in the positive body, one entry per
+   occurrence: a rule's missing-premise counter drops by one per entry,
+   so a repeated premise counts as often as it occurs *)
+let occurrences (p : Interned.t) =
+  let rules = p.Interned.rules in
+  csr p.Interned.n_atoms (Array.length rules) (fun ri emit ->
+      let pos = rules.(ri).Interned.pos in
+      for j = 0 to Array.length pos - 1 do
+        emit pos.(j) ri
+      done)
+
+let premises (p : Interned.t) =
+  Array.map (fun (r : Interned.rule) -> Array.length r.Interned.pos) p.Interned.rules
+
 type plan = {
   cf : Bitset.t;  (* forced closure: a subset of every model *)
   free : int array;  (* free choice atoms, ascending *)
-  occ : (int * int) list array;  (* atom -> (rule, multiplicity) *)
+  occ : csr;  (* {!occurrences} *)
   base_missing : int array;  (* rule -> total positive premises *)
   heads : int array;
 }
@@ -70,24 +107,12 @@ let classify (p : Interned.t) =
   if not (gate p) then `Full
   else begin
     let n1 = max p.Interned.n_atoms 1 in
-    let n_rules = Array.length p.Interned.rules in
     let heads = Array.map (fun (r : Interned.rule) -> r.Interned.head) p.Interned.rules in
-    let occ = Array.make n1 [] in
-    let base_missing = Array.make (max n_rules 1) 0 in
-    Array.iteri
-      (fun ri (r : Interned.rule) ->
-        base_missing.(ri) <- Array.length r.Interned.pos;
-        let mult = Hashtbl.create 4 in
-        Array.iter
-          (fun a ->
-            Hashtbl.replace mult a
-              (1 + Option.value ~default:0 (Hashtbl.find_opt mult a)))
-          r.Interned.pos;
-        Hashtbl.iter (fun a m -> occ.(a) <- (ri, m) :: occ.(a)) mult)
-      p.Interned.rules;
+    let occ = occurrences p in
+    let base_missing = premises p in
     let closure seeds =
       let cur = Bitset.create n1 in
-      let missing = Array.sub base_missing 0 n_rules in
+      let missing = Array.copy base_missing in
       let q = Queue.create () in
       let add a =
         if not (Bitset.get cur a) then begin
@@ -100,11 +125,11 @@ let classify (p : Interned.t) =
       Array.iteri (fun ri m -> if m = 0 then add heads.(ri)) missing;
       while not (Queue.is_empty q) do
         let a = Queue.pop q in
-        List.iter
-          (fun (ri, m) ->
-            missing.(ri) <- missing.(ri) - m;
-            if missing.(ri) = 0 then add heads.(ri))
-          occ.(a)
+        for k = occ.start.(a) to occ.start.(a + 1) - 1 do
+          let ri = occ.items.(k) in
+          missing.(ri) <- missing.(ri) - 1;
+          if missing.(ri) = 0 then add heads.(ri)
+        done
       done;
       cur
     in
@@ -212,29 +237,6 @@ let classify (p : Interned.t) =
     with Full_tier -> `Full
   end
 
-(* compressed adjacency: row [v] is [items.(start.(v)) ..
-   items.(start.(v + 1) - 1)] *)
-type csr = { start : int array; items : int array }
-
-(* [iter ri emit] calls [emit v x] once per entry [x] of row [v] that
-   rule [ri] contributes *)
-let csr n n_rules iter =
-  let start = Array.make (n + 1) 0 in
-  for ri = 0 to n_rules - 1 do
-    iter ri (fun v _ -> start.(v + 1) <- start.(v + 1) + 1)
-  done;
-  for v = 0 to n - 1 do
-    start.(v + 1) <- start.(v + 1) + start.(v)
-  done;
-  let fill = Array.sub start 0 n in
-  let items = Array.make start.(n) 0 in
-  for ri = 0 to n_rules - 1 do
-    iter ri (fun v x ->
-        items.(fill.(v)) <- x;
-        fill.(v) <- fill.(v) + 1)
-  done;
-  { start; items }
-
 (* strongly connected components of [g], numbered in completion order so
    that every edge points to the same or a lower component: Tarjan with
    explicit stacks, since programs reach hundreds of thousands of atoms *)
@@ -298,16 +300,8 @@ let perfect_model (p : Interned.t) =
   let n = p.Interned.n_atoms in
   let rules = p.Interned.rules in
   let n_rules = Array.length rules in
-  let occ =
-    csr n n_rules (fun ri emit ->
-        let pos = rules.(ri).Interned.pos in
-        for j = 0 to Array.length pos - 1 do
-          emit pos.(j) ri
-        done)
-  in
-  let missing =
-    Array.map (fun (r : Interned.rule) -> Array.length r.Interned.pos) rules
-  in
+  let occ = occurrences p in
+  let missing = premises p in
   (* a rule fires only once its stratum is reached and its negative
      atoms are decided false *)
   let live = Bytes.make n_rules '\000' in
@@ -398,10 +392,13 @@ let eligible p =
 
 let expand ?limit ~stats (p : Interned.t) plan =
   let n1 = max p.Interned.n_atoms 1 in
+  let occ = plan.occ in
   let missing = Array.copy plan.base_missing in
   Bitset.iter_true
     (fun a ->
-      List.iter (fun (ri, m) -> missing.(ri) <- missing.(ri) - m) plan.occ.(a))
+      for k = occ.start.(a) to occ.start.(a + 1) - 1 do
+        missing.(occ.items.(k)) <- missing.(occ.items.(k)) - 1
+      done)
     plan.cf;
   let cur = Bitset.copy plan.cf in
   let trail = Array.make n1 0 in
@@ -420,19 +417,19 @@ let expand ?limit ~stats (p : Interned.t) plan =
     while !i < !sp do
       let x = trail.(!i) in
       incr i;
-      List.iter
-        (fun (ri, m) ->
-          missing.(ri) <- missing.(ri) - m;
-          if missing.(ri) = 0 then begin
-            let h = plan.heads.(ri) in
-            if not (Bitset.get cur h) then begin
-              Bitset.set cur h;
-              trail.(!sp) <- h;
-              incr sp;
-              stats.Stats.firings <- stats.Stats.firings + 1
-            end
-          end)
-        plan.occ.(x)
+      for k = occ.start.(x) to occ.start.(x + 1) - 1 do
+        let ri = occ.items.(k) in
+        missing.(ri) <- missing.(ri) - 1;
+        if missing.(ri) = 0 then begin
+          let h = plan.heads.(ri) in
+          if not (Bitset.get cur h) then begin
+            Bitset.set cur h;
+            trail.(!sp) <- h;
+            incr sp;
+            stats.Stats.firings <- stats.Stats.firings + 1
+          end
+        end
+      done
     done
   in
   let undo mark =
@@ -440,7 +437,9 @@ let expand ?limit ~stats (p : Interned.t) plan =
       decr sp;
       let x = trail.(!sp) in
       Bitset.clear cur x;
-      List.iter (fun (ri, m) -> missing.(ri) <- missing.(ri) + m) plan.occ.(x)
+      for k = occ.start.(x) to occ.start.(x + 1) - 1 do
+        missing.(occ.items.(k)) <- missing.(occ.items.(k)) + 1
+      done
     done
   in
   let models = ref [] in

@@ -10,50 +10,34 @@
     accumulated program from nothing every round.
 
     Candidates are {!Engine.Delta}s assessed against each level and kept
-    or eliminated by a caller predicate over the stable models. Two
-    candidate encodings are supported:
-
-    - {b Assume}: a candidate compiles to solver assumptions over
-      choice-opened control atoms. All candidates of a round then solve
-      the {e identical} ground program, which makes cross-solve learned-
-      nogood carry through {!Asp.Exchange} sound: the hub only ever
-      receives assumption-free 1-UIP clauses (PR 7's taint discipline —
-      blocking / local clauses are never exported), and such clauses are
-      consequences of the shared program alone, valid under any
-      assumption set. The hub persists across rounds while the program is
-      unchanged and is {e flushed} at every structural level, where the
-      old program's completion/loop nogoods would no longer be justified.
-    - {b Increment}: a candidate compiles to a program increment applied
-      via {!Asp.Grounder.extend} against the level's warm state, with
-      results deduplicated through {!Engine.Cache} by structural
-      fingerprint — a candidate re-assessed against an unchanged level is
-      a cache hit, not a solve.
+    or eliminated by a caller predicate over the stable models. A
+    candidate compiles to a program increment, grounded with
+    {!Asp.Grounder.extend} against the level's warm state. Candidates are
+    assessed one after another, in candidate order, on the calling
+    domain, and results are deduplicated through {!Engine.Cache} by
+    structural fingerprint: a candidate re-assessed against an unchanged
+    level is a cache hit, not a solve. No learned clause or timing-
+    dependent state crosses candidate solves, so the outcome and every
+    counter except the wall times are the same on every run.
 
     The scratch driver {!run_scratch} is the retained oracle: cold
-    grounding, no cache, no hub, sequential — differential tests pin
-    {!run}'s rounds, survivors and verdicts bit-for-bit against it. *)
+    grounding, no cache — differential tests pin {!run}'s rounds,
+    survivors and verdicts bit-for-bit against it. *)
 
 type level = {
   l_label : string;
   l_structure : Asp.Program.t;
       (** the structural increment this level adds; an empty program is a
-          re-assessment round (same ground program — in Assume mode its
-          survivors are answered from the cache) *)
+          re-assessment round (same ground program — its survivors are
+          answered from the cache) *)
 }
-
-type mode =
-  | Assume of (Engine.Delta.t -> (Asp.Atom.t * bool) list)
-      (** candidate -> assumption set. Every assumed atom must exist in
-          the (choice-opened) universe: assuming an absent atom true is
-          UNSAT by construction. *)
-  | Increment of (Engine.Delta.t -> Asp.Program.t)
-      (** candidate -> program increment over the level's base *)
 
 type spec = {
   base : Asp.Program.t;
   levels : level list;
   candidates : Engine.Delta.t list;
-  mode : mode;
+  increment : Engine.Delta.t -> Asp.Program.t;
+      (** candidate -> program increment over the level's base *)
   keep : Asp.Model.t list -> bool;
       (** survival predicate over the candidate's stable models (sorted,
           deduplicated — order-canonical, so verdicts are deterministic) *)
@@ -81,11 +65,9 @@ type stats = {
   s_disk_hits : int;
   s_fresh : int;
   s_carried : int;
-      (** learned nogoods imported from the hub across candidate solves
-          (Assume mode; [Solver.Stats.shared_in] summed over fresh
-          solves) *)
-  s_published : int;  (** nogoods exported to the hub *)
-  s_flushes : int;  (** hub resets forced by structural levels *)
+      (** always 0: no learned nogood crosses candidate solves. Kept only
+          because the repository benchmark reads it as
+          [cegar.nogoods_carried]. *)
   s_ground : Asp.Grounder.Stats.t;
       (** aggregated grounding effort — fresh vs reused instance counts
           show extend-vs-scratch sharing *)
@@ -107,29 +89,19 @@ type value = Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
 (** What the cache memoizes per candidate fingerprint — the
     {!Engine.Sweep} cache triple, so a serve-layer cache can be shared. *)
 
-val run :
-  ?jobs:int ->
-  ?oversubscribe:bool ->
-  ?share:bool ->
-  ?cache:value Engine.Cache.t ->
-  spec ->
-  outcome
-(** The incremental driver. Candidates of a round are assessed in
-    parallel over {!Engine.Pool} ([jobs] as in {!Engine.Pool.map});
-    [share] (default true) enables the learned-nogood hub in Assume mode;
-    a caller-supplied [cache] survives across calls (and, with a persist
-    hook, across processes). Deterministic: the outcome is independent of
-    [jobs] and [share]. Raises [Invalid_argument] on an empty candidate
-    list, and like {!Asp.Grounder} on unsafe or overflowing programs. *)
+val run : ?cache:value Engine.Cache.t -> spec -> outcome
+(** The incremental driver. A caller-supplied [cache] survives across
+    calls (and, with a persist hook, across processes). Raises
+    [Invalid_argument] on an empty candidate list, and like
+    {!Asp.Grounder} on unsafe or overflowing programs. *)
 
 val run_scratch : spec -> outcome
 (** The retained scratch oracle: every round re-grounds the accumulated
-    program cold ({!Asp.Grounder.ground]) and solves sequentially with no
-    cache and no hub. [run spec] and [run_scratch spec] agree bit-for-bit
-    on [rounds] and [confirmed]. *)
+    program plus each candidate's increment cold ({!Asp.Grounder.ground})
+    with no cache. [run spec] and [run_scratch spec] agree bit-for-bit on
+    [rounds] and [confirmed]. *)
 
 val fingerprint : spec -> int -> Engine.Delta.t -> Engine.Fingerprint.t
 (** [fingerprint spec level c]: the cache key of candidate [c] assessed
     at [level] — the accumulated structural fingerprint extended with the
-    candidate's assumptions or increment. Exposed for tests and the serve
-    layer. *)
+    candidate's increment. Exposed for tests and the serve layer. *)

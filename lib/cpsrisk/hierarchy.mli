@@ -17,9 +17,8 @@
     and demands [:- not hazard.] — a candidate survives iff some route
     exists (SAT). Refinement level [k] adds [blocked/2] facts: the
     firewall on gateway [k] (eliminating entry hypothesis [k]) and the
-    decoy on zone [k]. Dead-end routes conflict with the hazard
-    constraint, so solves learn shareable nogoods — the workload the
-    {!Cegar.Inc} Assume-mode exchange hub is built for.
+    decoy on zone [k]. Each hypothesis is an [entry(ei).] fact grounded
+    as a {!Cegar.Inc} program increment over the level's warm state.
 
     {b Frontier side.} A deterministic error-propagation plant (no
     choice, unique stable model): attacks injected at fixed sources
@@ -38,20 +37,11 @@ val default_entries : int
 (** 9 entry hypotheses: the first {!default_levels} are spurious (each
     refinement level eliminates one), the rest are confirmed. *)
 
-val refine_spec :
-  ?levels:int ->
-  ?entries:int ->
-  ?mode:[ `Assume | `Increment ] ->
-  unit ->
-  Cegar.Inc.spec
+val refine_spec : ?levels:int -> ?entries:int -> unit -> Cegar.Inc.spec
 (** The CEGAR schedule: base abstraction plus [levels] structural
     increments over [entries] candidates (entry hypothesis [i] is the
-    delta with fault ["Ei"]). [`Assume] (default) pins the hypothesis by
-    solver assumptions over the choice-opened [entry/1] atoms — all
-    candidates of a round share one ground program, enabling nogood
-    carry. [`Increment] compiles each hypothesis to an [entry(ei).]
-    fact grounded incrementally per candidate. Survivorship is identical
-    in both modes. Requires [1 <= levels < entries]. *)
+    delta with fault ["Ei"], compiled to the increment [entry(ei).]).
+    Requires [1 <= levels < entries]. *)
 
 val spurious_entries : levels:int -> string list
 (** The fault ids eliminated by the schedule, in elimination order. *)

@@ -227,11 +227,8 @@ let render_log artifacts = String.concat "\n" artifacts.log ^ "\n"
 (* Engine-backed refinement (step 5 at scale)                          *)
 (* ------------------------------------------------------------------ *)
 
-let refine_hierarchy ?jobs ?levels ?entries ?mode ?share ?cache
-    ?(scratch = false) () =
-  let spec = Hierarchy.refine_spec ?levels ?entries ?mode () in
-  if scratch then Cegar.Inc.run_scratch spec
-  else Cegar.Inc.run ?jobs ?share ?cache spec
+let refine_hierarchy ?levels ?entries () =
+  Cegar.Inc.run (Hierarchy.refine_spec ?levels ?entries ())
 
 let render_refine ?(stats = false) (o : Cegar.Inc.outcome) =
   let buf = Buffer.create 512 in
@@ -253,12 +250,9 @@ let render_refine ?(stats = false) (o : Cegar.Inc.outcome) =
     | c -> String.concat "," (List.map Engine.Delta.label c));
   if stats then begin
     let s = o.Cegar.Inc.stats in
-    p
-      "rounds %d  solves %d  hits %d  disk %d  fresh %d  carried %d  \
-       published %d  flushes %d\n"
-      s.Cegar.Inc.s_rounds s.Cegar.Inc.s_solves s.Cegar.Inc.s_hits
-      s.Cegar.Inc.s_disk_hits s.Cegar.Inc.s_fresh s.Cegar.Inc.s_carried
-      s.Cegar.Inc.s_published s.Cegar.Inc.s_flushes;
+    p "rounds %d  solves %d  hits %d  disk %d  fresh %d\n" s.Cegar.Inc.s_rounds
+      s.Cegar.Inc.s_solves s.Cegar.Inc.s_hits s.Cegar.Inc.s_disk_hits
+      s.Cegar.Inc.s_fresh;
     p "ground: %s\n"
       (Asp.Grounder.Stats.to_string s.Cegar.Inc.s_ground);
     p "wall: %.3fs\n" s.Cegar.Inc.s_wall_s
@@ -332,30 +326,6 @@ let mitigate_frontier ?jobs f = function
   | Frontier_sweep budgets ->
       let curve, report = Mitigation.Frontier.budget_sweep ?jobs f ~budgets in
       (Frontier_curve curve, report)
-
-(* the retained scratch search: cold per-evaluation grounding, no cache,
-   no pool, so its report counts nothing *)
-let mitigate_scratch f request =
-  let p = Mitigation.Frontier.scratch_problem f in
-  let answer =
-    match request with
-    | Frontier_optimal budget ->
-        Frontier_solution (Mitigation.Optimizer.optimal ?budget p)
-    | Frontier_pareto -> Frontier_front (Mitigation.Optimizer.pareto p)
-    | Frontier_sweep budgets ->
-        Frontier_curve (Mitigation.Optimizer.budget_sweep p ~budgets)
-  in
-  ( answer,
-    {
-      Mitigation.Frontier.r_evals = 0;
-      r_hits = 0;
-      r_disk_hits = 0;
-      r_fresh = 0;
-      r_pruned = 0;
-      r_sum_s = 0.0;
-      r_critical_s = 0.0;
-      r_wall_s = 0.0;
-    } )
 
 let render_solution (s : Mitigation.Optimizer.solution) =
   Format.asprintf "%a" Mitigation.Optimizer.pp_solution s

@@ -60,22 +60,10 @@ val render_log : artifacts -> string
 
     The hierarchical case study of {!Hierarchy} driven through the
     incremental CEGAR engine ({!Cegar.Inc}): one warm grounder chain
-    across refinement levels, learned nogoods carried between candidate
-    solves in Assume mode, results deduplicated through the engine
-    cache. *)
+    across refinement levels, each hypothesis a program increment,
+    results deduplicated through the engine cache. *)
 
-val refine_hierarchy :
-  ?jobs:int ->
-  ?levels:int ->
-  ?entries:int ->
-  ?mode:[ `Assume | `Increment ] ->
-  ?share:bool ->
-  ?cache:Cegar.Inc.value Engine.Cache.t ->
-  ?scratch:bool ->
-  unit ->
-  Cegar.Inc.outcome
-(** [scratch:true] runs the retained cold-grounding oracle instead — the
-    outcome is bit-for-bit identical, only the stats differ. *)
+val refine_hierarchy : ?levels:int -> ?entries:int -> unit -> Cegar.Inc.outcome
 
 val render_refine : ?stats:bool -> Cegar.Inc.outcome -> string
 (** The JSON form is {!Cegar.Inc.to_json}. *)
@@ -121,16 +109,6 @@ val mitigate_frontier :
   Mitigation.Frontier.t ->
   frontier_request ->
   frontier_answer * Mitigation.Frontier.report
-
-val mitigate_scratch :
-  Mitigation.Frontier.t ->
-  frontier_request ->
-  frontier_answer * Mitigation.Frontier.report
-(** The same answer from the retained scratch search
-    ({!Mitigation.Frontier.scratch_problem} under {!Mitigation.Optimizer}):
-    every evaluation grounds cold, with no cache and no pool — the
-    differential oracle of {!mitigate_frontier}. Its report is all
-    zeros. *)
 
 val render_frontier :
   ?stats:bool -> frontier_answer -> Mitigation.Frontier.report -> string

@@ -285,29 +285,18 @@ let test_inc_hierarchy_schedule () =
     (Cpsrisk.Hierarchy.spurious_entries ~levels:6)
 
 let test_inc_matches_scratch () =
-  List.iter
-    (fun (tag, mode) ->
-      let spec = Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:5 ~mode () in
-      let oracle = Cegar.Inc.run_scratch spec in
-      check_outcome_equal (tag ^ "/seq") (Cegar.Inc.run ~jobs:1 spec) oracle;
-      check_outcome_equal (tag ^ "/par")
-        (Cegar.Inc.run ~jobs:2 ~oversubscribe:true spec)
-        oracle;
-      check_outcome_equal
-        (tag ^ "/no-share")
-        (Cegar.Inc.run ~share:false spec)
-        oracle)
-    [ ("assume", `Assume); ("increment", `Increment) ]
+  let spec = Cpsrisk.Hierarchy.refine_spec ~levels:3 ~entries:5 () in
+  check_outcome_equal "L=3 C=5" (Cegar.Inc.run spec)
+    (Cegar.Inc.run_scratch spec)
 
 let test_inc_seeded_matches_scratch () =
-  (* seeded schedule shapes: every (levels, entries, mode) combination
-     must agree with the scratch oracle bit-for-bit *)
+  (* seeded schedule shapes: every (levels, entries) combination must
+     agree with the scratch oracle bit-for-bit *)
   List.iter
     (fun seed ->
       let levels = 1 + (seed mod 4) in
       let entries = levels + 1 + (seed * 3 mod 4) in
-      let mode = if seed mod 2 = 0 then `Assume else `Increment in
-      let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries ~mode () in
+      let spec = Cpsrisk.Hierarchy.refine_spec ~levels ~entries () in
       check_outcome_equal
         (Printf.sprintf "seed %d (L=%d C=%d)" seed levels entries)
         (Cegar.Inc.run spec)
@@ -330,8 +319,8 @@ let test_inc_cache_reuse () =
     second.Cegar.Inc.stats.Cegar.Inc.s_hits
 
 let test_inc_empty_level_is_cached () =
-  (* an empty structural increment is a re-assessment round: in Assume
-     mode the ground program is unchanged, so it costs only cache hits *)
+  (* an empty structural increment is a re-assessment round: the level
+     fingerprint is unchanged, so it costs only cache hits *)
   let spec = Cpsrisk.Hierarchy.refine_spec ~levels:2 ~entries:4 () in
   let spec =
     {
@@ -357,16 +346,34 @@ let test_inc_stats_shape () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
   let o = Cegar.Inc.run spec in
   let s = o.Cegar.Inc.stats in
-  check Alcotest.int "one flush per structural level (Assume + share)" 6
-    s.Cegar.Inc.s_flushes;
+  (* 9 candidates at the base, then each level re-assesses the previous
+     round's survivors: 9 + 9 + 8 + 7 + 6 + 5 + 4 *)
+  check Alcotest.int "one solve per assessment" 48 s.Cegar.Inc.s_solves;
+  check Alcotest.int "fresh = solves" s.Cegar.Inc.s_solves s.Cegar.Inc.s_fresh;
+  check Alcotest.int "no cache hits on a cold run" 0 s.Cegar.Inc.s_hits;
+  check Alcotest.int "no nogood crosses candidate solves" 0
+    s.Cegar.Inc.s_carried;
   check Alcotest.bool "grounding reused instances across levels" true
-    (s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules > 0);
-  check Alcotest.bool "dead-end conflicts published to the hub" true
-    (s.Cegar.Inc.s_published > 0);
-  let o' = Cegar.Inc.run ~share:false spec in
-  check_outcome_equal "share-independent" o' o;
-  check Alcotest.int "no hub without sharing" 0
-    o'.Cegar.Inc.stats.Cegar.Inc.s_published
+    (s.Cegar.Inc.s_ground.Asp.Grounder.Stats.reused_rules > 0)
+
+(* every [wall_s] member replaced by null: what is left must not depend
+   on the run *)
+let rec mask_walls = function
+  | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> (k, if k = "wall_s" then Json.Null else mask_walls v))
+           kvs)
+  | Json.List l -> Json.List (List.map mask_walls l)
+  | j -> j
+
+let test_inc_deterministic () =
+  let spec = Cpsrisk.Hierarchy.refine_spec () in
+  let render () =
+    Json.to_string (mask_walls (Cegar.Inc.to_json (Cegar.Inc.run spec)))
+  in
+  let first = render () in
+  check Alcotest.string "two runs, one document" first (render ())
 
 let test_inc_empty_candidates () =
   let spec = Cpsrisk.Hierarchy.refine_spec () in
@@ -427,6 +434,8 @@ let suites =
         Alcotest.test_case "empty level answered from cache" `Quick
           test_inc_empty_level_is_cached;
         Alcotest.test_case "stats shape" `Quick test_inc_stats_shape;
+        Alcotest.test_case "deterministic outcome and counters" `Quick
+          test_inc_deterministic;
         Alcotest.test_case "empty candidates rejected" `Quick
           test_inc_empty_candidates;
       ] );

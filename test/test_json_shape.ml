@@ -72,11 +72,11 @@ let cases =
       [
         "confirmed"; "confirmed[]"; "rounds"; "rounds[]"; "rounds[].eliminated";
         "rounds[].eliminated[]"; "rounds[].label"; "rounds[].level";
-        "rounds[].survivors"; "rounds[].survivors[]"; "stats"; "stats.carried";
-        "stats.disk_hits"; "stats.flushes"; "stats.fresh"; "stats.ground";
+        "rounds[].survivors"; "rounds[].survivors[]"; "stats";
+        "stats.disk_hits"; "stats.fresh"; "stats.ground";
         "stats.ground.fresh_rules"; "stats.ground.reused_rules";
-        "stats.ground.wall_s"; "stats.hits"; "stats.published"; "stats.rounds";
-        "stats.solves"; "stats.wall_s";
+        "stats.ground.wall_s"; "stats.hits"; "stats.rounds"; "stats.solves";
+        "stats.wall_s";
       ] );
     ( "mitigate --frontier, optimal",
       [ "mitigate"; "--frontier"; "--json" ],
