@@ -17,6 +17,10 @@ let clear b i =
        (Char.code (Bytes.unsafe_get b j) land lnot (1 lsl (i land 7))))
 
 let copy = Bytes.copy
+let extend b n =
+  let r = create n in
+  Bytes.blit b 0 r 0 (Bytes.length b);
+  r
 let reset b = Bytes.fill b 0 (Bytes.length b) '\000'
 let equal = Bytes.equal
 let hash (b : t) = Hashtbl.hash b

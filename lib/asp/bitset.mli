@@ -14,6 +14,11 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 
 val copy : t -> t
+
+val extend : t -> int -> t
+(** [extend b n] is a copy of [b] able to hold bits [0 .. n-1]; bits past
+    [b]'s own are false. [n] must be at least [b]'s size. *)
+
 val reset : t -> unit
 (** Clear every bit in place. *)
 

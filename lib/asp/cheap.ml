@@ -13,6 +13,8 @@
    edge inside a component (a negative loop such as [a :- not b.
    b :- not a.]) rejects to the full CDNL tier. A program without
    negation is the one-stratum case: one closure and no component pass.
+   An extension of an evaluated base ({!evaluate}) re-evaluates only the
+   cone of atoms downstream of what its increment changes ([cone_model]).
 
    Programs with choices must have no negation in rule bodies or choice
    guards, and no choice bounds. In that fragment a candidate is stable
@@ -58,46 +60,28 @@ let gate (p : Interned.t) =
               c.Interned.elems)
        p.Interned.choices
 
-(* compressed adjacency: row [v] is [items.(start.(v)) ..
-   items.(start.(v + 1) - 1)] *)
-type csr = { start : int array; items : int array }
+type csr = Interned.csr = { start : int array; items : int array }
 
-(* [iter ri emit] calls [emit v x] once per entry [x] of row [v] that
-   rule [ri] contributes *)
-let csr n n_rules iter =
-  let start = Array.make (n + 1) 0 in
-  for ri = 0 to n_rules - 1 do
-    iter ri (fun v _ -> start.(v + 1) <- start.(v + 1) + 1)
-  done;
-  for v = 0 to n - 1 do
-    start.(v + 1) <- start.(v + 1) + start.(v)
-  done;
-  let fill = Array.sub start 0 n in
-  let items = Array.make start.(n) 0 in
-  for ri = 0 to n_rules - 1 do
-    iter ri (fun v x ->
-        items.(fill.(v)) <- x;
-        fill.(v) <- fill.(v) + 1)
-  done;
-  { start; items }
+let csr = Interned.csr
 
 (* atom -> rules with that atom in the positive body, one entry per
    occurrence: a rule's missing-premise counter drops by one per entry,
    so a repeated premise counts as often as it occurs *)
-let occurrences (p : Interned.t) =
-  let rules = p.Interned.rules in
-  csr p.Interned.n_atoms (Array.length rules) (fun ri emit ->
+let occurrences n (rules : Interned.rule array) =
+  csr n (Array.length rules) (fun ri emit ->
       let pos = rules.(ri).Interned.pos in
       for j = 0 to Array.length pos - 1 do
         emit pos.(j) ri
       done)
 
-let premises (p : Interned.t) =
-  Array.map (fun (r : Interned.rule) -> Array.length r.Interned.pos) p.Interned.rules
+let premises rules =
+  Array.map (fun (r : Interned.rule) -> Array.length r.Interned.pos) rules
 
 type plan = {
   cf : Bitset.t;  (* forced closure: a subset of every model *)
-  free : int array;  (* free choice atoms, ascending *)
+  free : int array;
+      (* free choice atoms in {!Interned.canonical_order}: a limited
+         expansion finds the same models under any numbering *)
   occ : csr;  (* {!occurrences} *)
   base_missing : int array;  (* rule -> total positive premises *)
   heads : int array;
@@ -108,8 +92,8 @@ let classify (p : Interned.t) =
   else begin
     let n1 = max p.Interned.n_atoms 1 in
     let heads = Array.map (fun (r : Interned.rule) -> r.Interned.head) p.Interned.rules in
-    let occ = occurrences p in
-    let base_missing = premises p in
+    let occ = occurrences p.Interned.n_atoms p.Interned.rules in
+    let base_missing = premises p.Interned.rules in
     let closure seeds =
       let cur = Bitset.create n1 in
       let missing = Array.copy base_missing in
@@ -228,7 +212,7 @@ let classify (p : Interned.t) =
         `Plan
           {
             cf = !final_cf;
-            free = Array.of_list (List.rev !free);
+            free = Interned.canonical_order p (Array.of_list (List.rev !free));
             occ;
             base_missing;
             heads;
@@ -294,14 +278,13 @@ let rec any_set cur atoms i =
   i < Array.length atoms
   && (Bitset.get cur atoms.(i) || any_set cur atoms (i + 1))
 
-(* the perfect model of a choice-free, aggregate-free program; raises
-   [Full_tier] when a negative body atom shares its head's component *)
-let perfect_model (p : Interned.t) =
-  let n = p.Interned.n_atoms in
-  let rules = p.Interned.rules in
+(* the perfect model of the facts and choice-free, aggregate-free rules
+   over atoms [0, n); raises [Full_tier] when a negative body atom shares
+   its head's component *)
+let perfect_model_of n facts (rules : Interned.rule array) =
   let n_rules = Array.length rules in
-  let occ = occurrences p in
-  let missing = premises p in
+  let occ = occurrences n rules in
+  let missing = premises rules in
   (* a rule fires only once its stratum is reached and its negative
      atoms are decided false *)
   let live = Bytes.make n_rules '\000' in
@@ -330,7 +313,7 @@ let perfect_model (p : Interned.t) =
       done
     done
   in
-  Array.iter add p.Interned.facts;
+  Array.iter add facts;
   if Array.for_all (fun (r : Interned.rule) -> r.Interned.neg = [||]) rules
   then begin
     for ri = 0 to n_rules - 1 do
@@ -377,15 +360,174 @@ let rec all_set cur atoms i =
 let violated cur (k : Interned.constr) =
   all_set cur k.Interned.kpos 0 && not (any_set cur k.Interned.kneg 0)
 
-(* choice-free programs are evaluated, programs with choices classified *)
+let perfect_model (p : Interned.t) =
+  perfect_model_of p.Interned.n_atoms p.Interned.facts p.Interned.rules
+
+let evaluate (p : Interned.t) =
+  if p.Interned.has_counts || p.Interned.choices <> [||] then p
+  else
+    match perfect_model p with
+    | exception Full_tier -> p
+    | model ->
+        let n = p.Interned.n_atoms and rules = p.Interned.rules in
+        let n_rules = Array.length rules in
+        let users =
+          csr n n_rules (fun ri emit ->
+              let { Interned.pos; neg; _ } = rules.(ri) in
+              Array.iter (fun a -> emit a ri) pos;
+              Array.iter (fun a -> emit a ri) neg)
+        in
+        let defs = csr n n_rules (fun ri emit -> emit rules.(ri).Interned.head ri) in
+        let facts = p.Interned.facts in
+        let fact_defs =
+          csr n (Array.length facts) (fun fi emit -> emit facts.(fi) fi)
+        in
+        {
+          p with
+          Interned.evaluation =
+            Some
+              {
+                Interned.model;
+                model_atoms = Interned.atoms_of_bitset p model;
+                users;
+                defs;
+                fact_defs;
+              };
+        }
+
+(* The perfect model of an extension of an evaluated base. Only the cone
+   of what the increment changes can differ from the base's model: the
+   heads of its fresh facts and rules and of the base facts and rules it
+   drops, and everything downstream of them through the rules' bodies.
+   Outside the cone the rules are the base's, so the base model holds
+   there; no component mixes cone and non-cone atoms, since a component
+   is downstream of each of its atoms. The cone's rules are evaluated on
+   their own, with the atoms outside it fixed to the base model: the
+   per-job work scales with the cone, not with the program. *)
+let cone_model (p : Interned.t) (o : Interned.origin)
+    (ev : Interned.evaluation) =
+  let b = o.Interned.base in
+  let nb = b.Interned.n_atoms in
+  let rules = p.Interned.rules and facts = p.Interned.facts in
+  let fresh_users = Hashtbl.create 16 and fresh_defs = Hashtbl.create 16 in
+  for ri = o.Interned.first_fresh_rule to Array.length rules - 1 do
+    let r = rules.(ri) in
+    Hashtbl.add fresh_defs r.Interned.head ri;
+    Array.iter (fun a -> Hashtbl.add fresh_users a ri) r.Interned.pos;
+    Array.iter (fun a -> Hashtbl.add fresh_users a ri) r.Interned.neg
+  done;
+  let fresh_facts = Hashtbl.create 16 in
+  for fi = o.Interned.first_fresh_fact to Array.length facts - 1 do
+    Hashtbl.replace fresh_facts facts.(fi) ()
+  done;
+  let local = Hashtbl.create 64 and cone = ref [] and k = ref 0 in
+  let queue = Queue.create () in
+  let add a =
+    if not (Hashtbl.mem local a) then begin
+      Hashtbl.add local a !k;
+      incr k;
+      cone := a :: !cone;
+      Queue.add a queue
+    end
+  in
+  Bitset.iter_true (fun fi -> add b.Interned.facts.(fi)) o.Interned.dropped_facts;
+  Bitset.iter_true
+    (fun ri -> add b.Interned.rules.(ri).Interned.head)
+    o.Interned.dropped_rules;
+  for fi = o.Interned.first_fresh_fact to Array.length facts - 1 do
+    add facts.(fi)
+  done;
+  for ri = o.Interned.first_fresh_rule to Array.length rules - 1 do
+    add rules.(ri).Interned.head
+  done;
+  let kept_rule ri = not (Bitset.get o.Interned.dropped_rules ri) in
+  while not (Queue.is_empty queue) do
+    let a = Queue.pop queue in
+    if a < nb then
+      for j = ev.Interned.users.start.(a) to ev.Interned.users.start.(a + 1) - 1 do
+        let ri = ev.Interned.users.items.(j) in
+        if kept_rule ri then add b.Interned.rules.(ri).Interned.head
+      done;
+    List.iter
+      (fun ri -> add rules.(ri).Interned.head)
+      (Hashtbl.find_all fresh_users a)
+  done;
+  let atoms = Array.of_list (List.rev !cone) in
+  (* outside the cone: the base model; the increment's atoms are all
+     inside it or underivable *)
+  let outside a = a < nb && Bitset.get ev.Interned.model a in
+  let lfacts = ref [] and lrules = ref [] in
+  let local_rule head (r : Interned.rule) =
+    let dead = ref false in
+    let keep value ids =
+      Array.of_list
+        (Array.fold_right
+           (fun a acc ->
+             match Hashtbl.find_opt local a with
+             | Some l -> l :: acc
+             | None ->
+                 if outside a <> value then dead := true;
+                 acc)
+           ids [])
+    in
+    let pos = keep true r.Interned.pos and neg = keep false r.Interned.neg in
+    if not !dead then
+      if pos = [||] && neg = [||] then lfacts := head :: !lfacts
+      else lrules := { r with Interned.head; pos; neg } :: !lrules
+  in
+  Array.iteri
+    (fun l a ->
+      if a < nb then begin
+        let fd = ev.Interned.fact_defs in
+        for j = fd.start.(a) to fd.start.(a + 1) - 1 do
+          if not (Bitset.get o.Interned.dropped_facts fd.items.(j)) then
+            lfacts := l :: !lfacts
+        done;
+        let d = ev.Interned.defs in
+        for j = d.start.(a) to d.start.(a + 1) - 1 do
+          let ri = d.items.(j) in
+          if kept_rule ri then local_rule l b.Interned.rules.(ri)
+        done
+      end;
+      if Hashtbl.mem fresh_facts a then lfacts := l :: !lfacts;
+      List.iter
+        (fun ri -> local_rule l rules.(ri))
+        (Hashtbl.find_all fresh_defs a))
+    atoms;
+  let lm =
+    perfect_model_of (Array.length atoms) (Array.of_list !lfacts)
+      (Array.of_list !lrules)
+  in
+  let m = Bitset.extend ev.Interned.model p.Interned.n_atoms in
+  let set = ref ev.Interned.model_atoms in
+  Array.iteri
+    (fun l a ->
+      let was = outside a and is = Bitset.get lm l in
+      if is then Bitset.set m a else Bitset.clear m a;
+      if was && not is then set := Model.AtomSet.remove (Interned.atom p a) !set
+      else if is && not was then set := Model.AtomSet.add (Interned.atom p a) !set)
+    atoms;
+  (m, !set)
+
+(* choice-free programs are evaluated — an extension of an evaluated base
+   only in its cone — and programs with choices classified *)
 let decide (p : Interned.t) =
   if p.Interned.has_counts || p.Interned.choices <> [||] then classify p
   else
-    match perfect_model p with
+    let model () =
+      match p.Interned.origin with
+      | Some ({ Interned.base = { Interned.evaluation = Some ev; _ }; _ } as o)
+        ->
+          cone_model p o ev
+      | _ ->
+          let m = perfect_model p in
+          (m, Interned.atoms_of_bitset p m)
+    in
+    match model () with
     | exception Full_tier -> `Full
-    | m ->
+    | m, atoms ->
         if Array.exists (violated m) p.Interned.constraints then `Unsat
-        else `Model m
+        else `Model (m, atoms)
 
 let eligible p =
   match decide p with `Full -> false | `Plan _ | `Model _ | `Unsat -> true
@@ -483,12 +625,11 @@ let solve ?limit ~stats p =
   | `Unsat ->
       stats.Stats.cheap <- true;
       Some []
-  | `Model m ->
+  | `Model (m, atoms) ->
       stats.Stats.cheap <- true;
       stats.Stats.leaves <- stats.Stats.leaves + 1;
       stats.Stats.models <- stats.Stats.models + 1;
-      let cost = Interned.cost_of p m in
-      Some [ Model.make ~cost (Interned.atoms_of_bitset p m) ]
+      Some [ Model.make ~cost:(Interned.cost_of p m) atoms ]
   | `Plan plan ->
       stats.Stats.cheap <- true;
       Some (expand ?limit ~stats p plan)

@@ -18,6 +18,15 @@
 
     Anything outside both fragments falls back to the full CDNL tier. *)
 
+val evaluate : Interned.t -> Interned.t
+(** [evaluate base] is [base] with its {!Interned.evaluation} set when
+    the program is choice-free, aggregate-free and stratified: its perfect
+    model and the occurrence indexes an extension needs. {!solve} then
+    answers a choice-free extension of [base] (see {!Interned.extend}) by
+    re-evaluating only the atoms downstream of what the extension changes,
+    keeping the base model elsewhere. Programs outside the fragment come
+    back unchanged. *)
+
 val eligible : Interned.t -> bool
 (** True exactly when {!solve} answers the program (including the case
     where it proves unsatisfiability outright). Exposed for tests. *)

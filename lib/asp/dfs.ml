@@ -223,6 +223,8 @@ type watcher =
 
 type engine = {
   p : Interned.t;
+  derived_head : Bitset.t; (* {!Interned.derived_heads} *)
+  choice_atoms : Bitset.t; (* {!Interned.choice_atoms} *)
   astratum : int array; (* atom id -> stratum *)
   max_stratum : int;
   facts_at : int list array;
@@ -261,8 +263,8 @@ let counts_final_sat e ~current idxs =
 let finally_false e ~current i =
   (not (Bitset.get e.value i))
   && (e.astratum.(i) < current
-     || (not (Bitset.get e.p.Interned.derived_head i))
-        && ((not (Bitset.get e.p.Interned.choice_atoms i))
+     || (not (Bitset.get e.derived_head i))
+        && ((not (Bitset.get e.choice_atoms i))
            || e.decided.(i) = 2))
 
 let certainly_violated e ~current k =
@@ -459,7 +461,7 @@ and decide e s cands =
 let make_engine (p : Interned.t) (st : strat) stats ~on_leaf ~on_boundary =
   let n = p.Interned.n_atoms in
   let astratum =
-    Array.init n (fun i -> st.stratum_of (Atom.signature p.Interned.atoms.(i)))
+    Array.init n (fun i -> st.stratum_of (Atom.signature (Interned.atom p i)))
   in
   let strata = st.max_stratum + 1 in
   let facts_at = Array.make strata [] in
@@ -551,6 +553,8 @@ let make_engine (p : Interned.t) (st : strat) stats ~on_leaf ~on_boundary =
     p.Interned.constraints;
   {
     p;
+    derived_head = Interned.derived_heads p;
+    choice_atoms = Interned.choice_atoms p;
     astratum;
     max_stratum = st.max_stratum;
     facts_at;
@@ -713,6 +717,7 @@ let solve_core ?limit ?(max_guess = default_max_guess) ~optimal (g : Ground.t) =
   let stats = Stats.create () in
   let st = stratify g in
   let p = Interned.compile g in
+  let choice_atoms = Interned.choice_atoms p in
   let models = ref [] in
   let seen : (Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let n_found = ref 0 in
@@ -744,7 +749,7 @@ let solve_core ?limit ?(max_guess = default_max_guess) ~optimal (g : Ground.t) =
   in
   (try
      if st.ok then begin
-       let n_choices = Bitset.cardinal p.Interned.choice_atoms in
+       let n_choices = Bitset.cardinal choice_atoms in
        if n_choices > max_guess then
          raise
            (Unsupported
@@ -787,7 +792,7 @@ let solve_core ?limit ?(max_guess = default_max_guess) ~optimal (g : Ground.t) =
          p.Interned.choices;
        let guess_ids = ref [] in
        for i = n - 1 downto 0 do
-         if Bitset.get negs i || Bitset.get p.Interned.choice_atoms i then
+         if Bitset.get negs i || Bitset.get choice_atoms i then
            guess_ids := i :: !guess_ids
        done;
        let guess_ids = !guess_ids in

@@ -206,7 +206,7 @@ let matches_gen ?perm ~cands ~err subst0 lits ~on_match =
     if j = n then
       match discharge subst builtins with
       | Some (subst, []) -> on_match subst
-      | Some (_, _ :: _) -> raise (Unsafe err)
+      | Some (_, _ :: _) -> raise (Unsafe (Lazy.force err))
       | None -> ()
     else
       match discharge subst builtins with
@@ -316,10 +316,12 @@ type store = {
 }
 
 let new_store ~max_atoms base =
+  (* an overlay usually holds a handful of atoms: start it small *)
+  let size n = if Option.is_none base then n else 16 in
   {
-    st_univ = Atom.Tbl.create 1024;
-    st_by_sig = SigTbl.create 64;
-    st_by_pos = PosTbl.create 256;
+    st_univ = Atom.Tbl.create (size 1024);
+    st_by_sig = SigTbl.create (size 64);
+    st_by_pos = PosTbl.create (size 256);
     st_count = (match base with Some b -> b.st_count | None -> 0);
     st_max = max_atoms;
     st_base = base;
@@ -425,11 +427,15 @@ type template = {
   t_pats : Atom.t array;
   t_builtins : (Term.t * Lit.cmp * Term.t) list;
   t_head : Atom.t;
-  t_err : string;
+  t_err : string Lazy.t;
 }
 
+(* error messages are built only when raised: rendering a rule costs
+   more than instantiating a small one *)
 let unbound_err r =
-  located r ^ "builtin comparison with unbound variables in: " ^ Rule.to_string r
+  lazy
+    (located r ^ "builtin comparison with unbound variables in: "
+   ^ Rule.to_string r)
 
 (* Returns the templates plus the semi-naive rule index: body-predicate
    signature -> (template, join position) pairs to re-fire when the
@@ -497,7 +503,7 @@ let fire st stats t ~round ~dpos ~on_match =
     if j = n then
       match discharge subst builtins with
       | Some (subst, []) -> on_match subst
-      | Some (_, _ :: _) -> raise (Unsafe t.t_err)
+      | Some (_, _ :: _) -> raise (Unsafe (Lazy.force t.t_err))
       | None -> ()
     else
       match discharge subst builtins with
@@ -521,14 +527,14 @@ let fire st stats t ~round ~dpos ~on_match =
    makes the rounds parallelizable: items only read it, so [par] may fan
    them out across domains and the deterministic sequential commit keeps
    the result bit-for-bit equal to the inline path. *)
-let run_fixpoint ?par st (stats : Stats.t) templates entries_for ~initial =
+let run_fixpoint ?par st (stats : Stats.t) template entries_for ~initial =
   let added = ref [] in
   let run_round ~round items =
     stats.Stats.passes <- stats.Stats.passes + 1;
     let n = Array.length items in
     let fire_item i =
       let ti, dpos = items.(i) in
-      let t = templates.(ti) in
+      let t = template ti in
       let local = Stats.create () in
       let heads = ref [] in
       fire st local t ~round ~dpos ~on_match:(fun subst ->
@@ -608,9 +614,13 @@ type view = {
   v_ints : string * int * int -> (bool * int list) option;
       (* (all keys at this position are ints, sorted distinct int keys) *)
   v_cache : comp_cache;
+  v_shared : string * int * int -> Atom.t list KeyTbl.t option;
+      (* composite groups of a frozen view this one agrees with on the
+         signature, consulted before building into [v_cache] *)
 }
 
 let new_cache () = { cc_frozen = false; cc_tbl = PosIdxTbl.create 16 }
+let no_shared _ = None
 
 let tbl_view sigs poses ints =
   {
@@ -619,6 +629,7 @@ let tbl_view sigs poses ints =
     v_pos = (fun k -> PosTbl.find_opt poses k);
     v_ints = (fun k -> PosIdxTbl.find_opt ints k);
     v_cache = new_cache ();
+    v_shared = no_shared;
   }
 
 (* Sorted per-signature / per-position tables for the atoms of [st]'s own
@@ -650,7 +661,7 @@ let ints_of_poses poses =
 
 let sorted_tables st =
   let sigs = SigTbl.create (SigTbl.length st.st_by_sig) in
-  let poses = PosTbl.create 256 in
+  let poses = PosTbl.create (PosTbl.length st.st_by_pos) in
   SigTbl.iter
     (fun key b ->
       let sorted = List.sort Atom.compare (List.map fst b.b_items) in
@@ -756,26 +767,31 @@ let comp_cands view (pat' : Atom.t) keys =
   let group =
     match PosIdxTbl.find_opt cache.cc_tbl ck with
     | Some g -> Some g
-    | None ->
-        if cache.cc_frozen then None
-        else begin
-          let g = KeyTbl.create 64 in
-          List.iter
-            (fun (a : Atom.t) ->
-              let key =
-                List.rev
-                  (snd
-                     (List.fold_left
-                        (fun (i, acc) t ->
-                          (i + 1, if mask land (1 lsl i) <> 0 then t :: acc else acc))
-                        (0, []) a.Atom.args))
-              in
-              let cur = Option.value ~default:[] (KeyTbl.find_opt g key) in
-              KeyTbl.replace g key (a :: cur))
-            (List.rev (view.v_sig (pat'.Atom.pred, ar)));
-          PosIdxTbl.add cache.cc_tbl ck g;
-          Some g
-        end
+    | None -> (
+        match view.v_shared ck with
+        | Some g -> Some g
+        | None ->
+            if cache.cc_frozen then None
+            else begin
+              let g = KeyTbl.create 64 in
+              List.iter
+                (fun (a : Atom.t) ->
+                  let key =
+                    List.rev
+                      (snd
+                         (List.fold_left
+                            (fun (i, acc) t ->
+                              ( i + 1,
+                                if mask land (1 lsl i) <> 0 then t :: acc
+                                else acc ))
+                            (0, []) a.Atom.args))
+                  in
+                  let cur = Option.value ~default:[] (KeyTbl.find_opt g key) in
+                  KeyTbl.replace g key (a :: cur))
+                (List.rev (view.v_sig (pat'.Atom.pred, ar)));
+              PosIdxTbl.add cache.cc_tbl ck g;
+              Some g
+            end)
   in
   match group with
   | None -> None
@@ -831,7 +847,7 @@ let view_cands ?(pending = no_pending) view (stats : Stats.t) (pat' : Atom.t) =
    ascending and the substitution is a function of that tuple — so the
    emitted instances are bit-for-bit those of the unordered join. *)
 let instantiate snap (stats : Stats.t) ?body_cands ?perm ~emit r =
-  let rule_str = Rule.to_string r in
+  let rule_str = lazy (Rule.to_string r) in
   let err = unbound_err r in
   let default_cands _ pat' ~pending = view_cands ~pending snap.sn_view stats pat' in
   let body_cands = Option.value ~default:default_cands body_cands in
@@ -870,7 +886,9 @@ let instantiate snap (stats : Stats.t) ?body_cands ?perm ~emit r =
           | Some n -> n
           | None ->
               raise
-                (Unsafe ("aggregate bound is not an integer in: " ^ rule_str))
+                (Unsafe
+                   ("aggregate bound is not an integer in: "
+                   ^ Lazy.force rule_str))
         in
         let celems = ref [] in
         let seen_ce = CeTbl.create 16 in
@@ -945,7 +963,8 @@ let instantiate snap (stats : Stats.t) ?body_cands ?perm ~emit r =
             | None ->
                 raise
                   (Unsafe
-                     ("weak constraint weight is not an integer: " ^ rule_str))
+                     ("weak constraint weight is not an integer: "
+                     ^ Lazy.force rule_str))
           in
           let terms =
             List.map (fun t -> Term.eval (Term.substitute subst t)) terms
@@ -965,12 +984,14 @@ let phase1 ?par ~max_atoms stats p =
   let entries_for sg =
     Option.value ~default:[] (SigTbl.find_opt tindex sg)
   in
-  run_fixpoint ?par st stats templates entries_for
+  run_fixpoint ?par st stats (Array.get templates) entries_for
     ~initial:(all_indices (Array.length templates));
   (st, templates, tindex)
 
-let universe_of st base =
-  Atom.Tbl.fold (fun a _ acc -> Model.AtomSet.add a acc) st.st_univ base
+(* one sort and a balanced build, instead of one rebalancing insertion
+   per atom *)
+let universe_of st =
+  Model.AtomSet.of_list (Atom.Tbl.fold (fun a _ acc -> a :: acc) st.st_univ [])
 
 let no_order : Rule.t -> int array option = fun _ -> None
 
@@ -998,7 +1019,7 @@ let ground ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
   let g =
     {
       Ground.rules = List.rev !out;
-      universe = universe_of st Model.AtomSet.empty;
+      universe = universe_of st;
       shows = Program.shows p;
     }
   in
@@ -1014,6 +1035,7 @@ type rule_entry = {
   e_pos_sigs : (string * int) array; (* positive body sigs, join order *)
   e_cond_sigs : (string * int) list; (* Deps.condition_signatures *)
   e_instances : Ground.grule list; (* base instances, emission order *)
+  e_count : int; (* length of [e_instances] *)
 }
 
 type prepared = {
@@ -1022,39 +1044,59 @@ type prepared = {
   p_store : store; (* frozen after prepare; always single-layer *)
   p_tables : tables; (* sorted base candidate tables *)
   p_view : view;
-  p_snap : snap;
   p_entries : rule_entry array;
+  p_by_cond : int list SigTbl.t; (* condition sig -> entries, ascending *)
+  p_by_pos : (int * int) list SigTbl.t;
+      (* positive body sig -> (entry, body position), ascending *)
+  p_instances : int; (* total of [e_count] *)
   p_templates : template array;
   p_tindex : (int * int) list SigTbl.t;
   p_universe : Model.AtomSet.t;
   p_rules : Ground.grule list; (* globally deduped, = [ground] output *)
   p_order : Rule.t -> int array option;
+  p_compiled : Interned.t; (* the entries' instances, one part each *)
+  p_parts : Interned.parts;
 }
 
-let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  let t0 = Unix.gettimeofday () in
-  let st, templates, tindex = phase1 ?par ~max_atoms stats p in
-  let tables = sorted_tables st in
-  let view = view_of_tables tables in
-  let snap = { sn_view = view; sn_mem = (fun a -> Atom.Tbl.mem st.st_univ a) } in
-  let entries =
-    List.map
-      (fun r ->
-        let acc = ref [] in
-        let emit gr =
-          stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
-          acc := gr :: !acc
-        in
-        instantiate snap stats ?perm:(order r) ~emit r;
-        {
-          e_rule = r;
-          e_pos_sigs = Array.of_list (Deps.positive_body_signatures r);
-          e_cond_sigs = Deps.condition_signatures r;
-          e_instances = List.rev !acc;
-        })
-      (Program.rules p)
+let entry r instances =
+  {
+    e_rule = r;
+    e_pos_sigs = Array.of_list (Deps.positive_body_signatures r);
+    e_cond_sigs = Deps.condition_signatures r;
+    e_instances = instances;
+    e_count = List.length instances;
+  }
+
+let instances ?body_cands snap stats perm r =
+  let acc = ref [] in
+  let emit gr =
+    stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
+    acc := gr :: !acc
   in
+  instantiate snap stats ?body_cands ?perm ~emit r;
+  List.rev !acc
+
+(* Index the entries by signature, compile their instances and freeze
+   the view: the state is shared and read-only from here on, and every
+   increment reads it. The compiled form keeps each entry's instances
+   (no cross-entry dedup) so that an increment can drop exactly the
+   entries it re-instantiates. *)
+let finish ~program ~max_atoms ~store ~tables ~view ~templates ~tindex ~order
+    entries =
+  let entries = Array.of_list entries in
+  let by_cond = SigTbl.create 64 and by_pos = SigTbl.create 64 in
+  let push tbl k v =
+    SigTbl.replace tbl k
+      (v :: Option.value ~default:[] (SigTbl.find_opt tbl k))
+  in
+  (* backwards, so every list comes out ascending *)
+  for i = Array.length entries - 1 downto 0 do
+    let e = entries.(i) in
+    List.iter (fun sg -> push by_cond sg i) (List.sort_uniq compare e.e_cond_sigs);
+    for j = Array.length e.e_pos_sigs - 1 downto 0 do
+      push by_pos e.e_pos_sigs.(j) (i, j)
+    done
+  done;
   let seen = GrTbl.create 256 in
   let rules =
     List.concat_map
@@ -1067,34 +1109,59 @@ let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
               true
             end)
           e.e_instances)
-      entries
+      (Array.to_list entries)
   in
-  (* the view is about to become shared, read-only state: no further
-     composite-mask materialization (concurrent extends read the cache) *)
+  let universe = universe_of store in
+  let compiled, parts =
+    Interned.compile_parts universe (Array.map (fun e -> e.e_instances) entries)
+  in
+  let compiled = Cheap.evaluate compiled in
+  (* no further composite-mask materialization: concurrent increments
+     read the cache *)
   view.v_cache.cc_frozen <- true;
-  let prep =
-    {
-      p_program = p;
-      p_max_atoms = max_atoms;
-      p_store = st;
-      p_tables = tables;
-      p_view = view;
-      p_snap = snap;
-      p_entries = Array.of_list entries;
-      p_templates = templates;
-      p_tindex = tindex;
-      p_universe = universe_of st Model.AtomSet.empty;
-      p_rules = rules;
-      p_order = order;
-    }
-  in
+  {
+    p_program = program;
+    p_max_atoms = max_atoms;
+    p_store = store;
+    p_tables = tables;
+    p_view = view;
+    p_entries = entries;
+    p_by_cond = by_cond;
+    p_by_pos = by_pos;
+    p_instances = Array.fold_left (fun n e -> n + e.e_count) 0 entries;
+    p_templates = templates;
+    p_tindex = tindex;
+    p_universe = universe;
+    p_rules = rules;
+    p_order = order;
+    p_compiled = compiled;
+    p_parts = parts;
+  }
+
+let timed (stats : Stats.t) f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
   stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
-  prep
+  r
+
+let get_stats = function Some s -> s | None -> Stats.create ()
+
+let prepare ?(max_atoms = 200_000) ?(order = no_order) ?par ?stats p =
+  let stats = get_stats stats in
+  timed stats @@ fun () ->
+  let st, templates, tindex = phase1 ?par ~max_atoms stats p in
+  let tables = sorted_tables st in
+  let view = view_of_tables tables in
+  let snap = { sn_view = view; sn_mem = (fun a -> Atom.Tbl.mem st.st_univ a) } in
+  List.map (fun r -> entry r (instances snap stats (order r) r)) (Program.rules p)
+  |> finish ~program:p ~max_atoms ~store:st ~tables ~view ~templates ~tindex
+       ~order
 
 let base p =
   { Ground.rules = p.p_rules; universe = p.p_universe; shows = Program.shows p.p_program }
 
 let base_universe p = p.p_universe
+let compiled_base p = p.p_compiled
 
 (* Merge the overlay's sorted tables into (copies of) the base tables. *)
 let merge_tables base overlay =
@@ -1123,85 +1190,233 @@ let merge_tables base overlay =
     overlay.tb_ints;
   { tb_sigs = sigs; tb_poses = poses; tb_ints = ints }
 
+(* The base view with the overlay's atoms merged in key by key, on first
+   use, into tables local to this view: nothing of the base is copied,
+   and the base stays read-only. Composite groups of signatures the
+   overlay leaves alone come from the base's frozen cache. *)
+let overlay_view base overlay =
+  let memo find add tbl k compute =
+    match find tbl k with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        add tbl k v;
+        v
+  in
+  let sigs = SigTbl.create 8 and poses = PosTbl.create 16 in
+  let ints = PosIdxTbl.create 8 in
+  {
+    v_sig =
+      (fun k ->
+        match SigTbl.find_opt overlay.tb_sigs k with
+        | None -> base.v_sig k
+        | Some nl ->
+            memo SigTbl.find_opt SigTbl.add sigs k (fun () ->
+                List.merge Atom.compare (base.v_sig k) nl));
+    v_pos =
+      (fun k ->
+        match (PosTbl.find_opt overlay.tb_poses k, base.v_pos k) with
+        | None, b -> b
+        | n, None -> n
+        | Some (nlen, nl), Some (blen, bl) ->
+            Some
+              (memo PosTbl.find_opt PosTbl.add poses k (fun () ->
+                   (blen + nlen, List.merge Atom.compare bl nl))));
+    v_ints =
+      (fun k ->
+        match (PosIdxTbl.find_opt overlay.tb_ints k, base.v_ints k) with
+        | None, b -> b
+        | n, None -> n
+        | Some (nall, nks), Some (ball, bks) ->
+            Some
+              (memo PosIdxTbl.find_opt PosIdxTbl.add ints k (fun () ->
+                   (ball && nall, List.sort_uniq Int.compare (bks @ nks)))));
+    v_cache = new_cache ();
+    v_shared =
+      (fun ((p, ar, _) as ck) ->
+        if SigTbl.mem overlay.tb_sigs (p, ar) then None
+        else PosIdxTbl.find_opt base.v_cache.cc_tbl ck);
+  }
+
 let overlay_phase1 ?par ~stats prep dp =
   List.iter check_rule (Program.rules dp);
   let st = new_store ~max_atoms:prep.p_max_atoms (Some prep.p_store) in
   let nbase = Array.length prep.p_templates in
   let dtemplates, dtindex = build_templates (Program.rules dp) in
-  let templates = Array.append prep.p_templates dtemplates in
+  let template ti =
+    if ti < nbase then prep.p_templates.(ti) else dtemplates.(ti - nbase)
+  in
   let entries_for sg =
     let b = Option.value ~default:[] (SigTbl.find_opt prep.p_tindex sg) in
     match SigTbl.find_opt dtindex sg with
     | None -> b
     | Some d -> b @ List.map (fun (ti, pos) -> (ti + nbase, pos)) d
   in
-  run_fixpoint ?par st stats templates entries_for
+  run_fixpoint ?par st stats template entries_for
     ~initial:
       (List.map (fun i -> i + nbase) (all_indices (Array.length dtemplates)));
-  (st, dtemplates, dtindex, templates)
+  (st, dtemplates, dtindex)
 
-let extend ?par ?stats prep dp =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  let t0 = Unix.gettimeofday () in
-  (* Overlay phase 1: close the base universe under base + delta rules,
-     starting from a naive pass over the delta's templates only (the base
-     is already closed). Only reads the prepared state, so concurrent
-     extends of one [prepared] are safe. *)
-  let st, _, _, _ = overlay_phase1 ?par ~stats prep dp in
+type increment = {
+  i_prep : prepared;
+  i_delta : Program.t;
+  i_store : store; (* the overlay: the atoms the delta adds *)
+  i_templates : template array; (* the delta's templates *)
+  i_dtindex : (int * int) list SigTbl.t; (* the delta's template index *)
+  i_full : (tables * view) option; (* merged tables, when asked for *)
+  i_changed : (int * bool * Ground.grule list) list;
+  i_rules : (Rule.t * Ground.grule list) list; (* the delta's rules *)
+  i_atoms : Atom.t list;
+}
+
+(* Overlay phase 1 closes the base universe under base + delta rules,
+   starting from a naive pass over the delta's templates only (the base
+   is already closed). Base rules are then classified by the signatures
+   that gained atoms, found through the signature indexes:
+   - a touched condition signature (negated body atom, aggregate or
+     choice-element condition) can change the content of existing
+     instances -> re-instantiate the rule against the full view;
+   - touched positive body signatures only -> existing instances are
+     unchanged (shared) and the only new instances are joins with at
+     least one new atom: enumerate them delta-exactly per position (new
+     at it, base-only strictly left, full right);
+   - nothing touched -> share wholesale, without visiting the entry.
+   Only reads the prepared state, so concurrent increments of one
+   [prepared] are safe. [merged] materializes the full candidate tables
+   (what {!extend_prepare} keeps); otherwise the full view overlays the
+   base lazily. *)
+let increment_with ?par ~stats ~merged prep dp =
+  let st, dtemplates, dtindex = overlay_phase1 ?par ~stats prep dp in
   let ntables = sorted_tables st in
-  let full_view = view_of_tables (merge_tables prep.p_tables ntables) in
+  let full =
+    if merged then begin
+      let t = merge_tables prep.p_tables ntables in
+      Some (t, view_of_tables t)
+    end
+    else None
+  in
+  let full_view =
+    match full with
+    | Some (_, v) -> v
+    | None -> overlay_view prep.p_view ntables
+  in
   let new_view = view_of_tables ntables in
   let mem a = Atom.Tbl.mem st.st_univ a || Atom.Tbl.mem prep.p_store.st_univ a in
   let snap = { sn_view = full_view; sn_mem = mem } in
-  let touched sg = SigTbl.mem ntables.tb_sigs sg in
+  let touched tbl =
+    SigTbl.fold
+      (fun sg _ acc ->
+        List.rev_append (Option.value ~default:[] (SigTbl.find_opt tbl sg)) acc)
+      ntables.tb_sigs []
+  in
+  let redo = List.sort_uniq Int.compare (touched prep.p_by_cond) in
+  let joins = List.sort_uniq compare (touched prep.p_by_pos) in
+  let perm e = prep.p_order prep.p_entries.(e).e_rule in
+  let join e i =
+    let body_cands k pat' ~pending =
+      if k = i then view_cands ~pending new_view stats pat'
+      else if k < i then view_cands ~pending prep.p_view stats pat'
+      else view_cands ~pending full_view stats pat'
+    in
+    instances ~body_cands snap stats (perm e) prep.p_entries.(e).e_rule
+  in
+  (* changed entries in ascending order: re-instantiated ones replace
+     their instances (their joins are subsumed), joined ones append *)
+  let rec walk redo joins acc =
+    let redo_first r redo' =
+      let fresh = instances snap stats (perm r) prep.p_entries.(r).e_rule in
+      let rec skip = function (e, _) :: l when e = r -> skip l | l -> l in
+      walk redo' (skip joins) ((r, true, fresh) :: acc)
+    in
+    match (redo, joins) with
+    | [], [] -> List.rev acc
+    | r :: redo', [] -> redo_first r redo'
+    | r :: redo', (e, _) :: _ when r <= e -> redo_first r redo'
+    | _, (e, _) :: _ ->
+        let rec span = function
+          | (e', i) :: l when e' = e ->
+              let mine, rest = span l in
+              (i :: mine, rest)
+          | l -> ([], l)
+        in
+        let mine, rest = span joins in
+        let fresh = List.concat_map (join e) mine in
+        walk redo rest ((e, false, fresh) :: acc)
+  in
+  let changed = walk redo joins [] in
+  stats.Stats.reused_rules <-
+    stats.Stats.reused_rules + prep.p_instances
+    - List.fold_left (fun n r -> n + prep.p_entries.(r).e_count) 0 redo;
+  let rules =
+    List.map
+      (fun r -> (r, instances snap stats (prep.p_order r) r))
+      (Program.rules dp)
+  in
+  {
+    i_prep = prep;
+    i_delta = dp;
+    i_store = st;
+    i_templates = dtemplates;
+    i_dtindex = dtindex;
+    i_full = full;
+    i_changed = changed;
+    i_rules = rules;
+    i_atoms =
+      List.sort Atom.compare
+        (Atom.Tbl.fold (fun a _ acc -> a :: acc) st.st_univ []);
+  }
+
+let increment ?par ?stats prep dp =
+  let stats = get_stats stats in
+  timed stats (fun () -> increment_with ?par ~stats ~merged:false prep dp)
+
+let reinstantiated inc =
+  List.filter_map (fun (e, redo, _) -> if redo then Some e else None) inc.i_changed
+
+let new_atoms inc = inc.i_atoms
+
+let fresh_instances inc =
+  List.concat_map (fun (_, _, l) -> l) inc.i_changed
+  @ List.concat_map snd inc.i_rules
+
+(* Base entries in order, each with its shared instances, its
+   re-instantiation or its shared instances plus new joins, then the
+   delta's rules *)
+let view inc =
+  let prep = inc.i_prep in
   let out = ref [] in
-  let emit gr =
-    stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
-    out := gr :: !out
+  let push l = out := List.rev_append l !out in
+  let rec go i changed =
+    if i < Array.length prep.p_entries then
+      match changed with
+      | (e, redo, fresh) :: rest when e = i ->
+          if not redo then push prep.p_entries.(i).e_instances;
+          push fresh;
+          go (i + 1) rest
+      | _ ->
+          push prep.p_entries.(i).e_instances;
+          go (i + 1) changed
   in
-  (* Classify each base rule by which signatures gained atoms:
-     - a touched condition signature (negated body atom, aggregate or
-       choice-element condition) can change the content of existing
-       instances -> recompute the rule from scratch against the full view;
-     - touched positive body signatures only -> existing instances are
-       unchanged (share them) and the only new instances are joins with at
-       least one new atom: enumerate them delta-exactly per position
-       (new at it, base-only strictly left, full right);
-     - nothing touched -> share wholesale. *)
-  Array.iter
-    (fun e ->
-      let perm = prep.p_order e.e_rule in
-      if List.exists touched e.e_cond_sigs then
-        instantiate snap stats ?perm ~emit e.e_rule
-      else begin
-        stats.Stats.reused_rules <-
-          stats.Stats.reused_rules + List.length e.e_instances;
-        out := List.rev_append e.e_instances !out;
-        Array.iteri
-          (fun i sg ->
-            if touched sg then begin
-              let body_cands k pat' ~pending =
-                if k = i then view_cands ~pending new_view stats pat'
-                else if k < i then view_cands ~pending prep.p_view stats pat'
-                else view_cands ~pending full_view stats pat'
-              in
-              instantiate snap stats ~body_cands ?perm ~emit e.e_rule
-            end)
-          e.e_pos_sigs
-      end)
-    prep.p_entries;
-  List.iter
-    (fun r -> instantiate snap stats ?perm:(prep.p_order r) ~emit r)
-    (Program.rules dp);
-  let g =
-    {
-      Ground.rules = List.rev !out;
-      universe = universe_of st prep.p_universe;
-      shows = Program.shows prep.p_program @ Program.shows dp;
-    }
-  in
-  stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
-  g
+  go 0 inc.i_changed;
+  List.iter (fun (_, l) -> push l) inc.i_rules;
+  {
+    Ground.rules = List.rev !out;
+    universe =
+      List.fold_left
+        (fun u a -> Model.AtomSet.add a u)
+        prep.p_universe inc.i_atoms;
+    shows = Program.shows prep.p_program @ Program.shows inc.i_delta;
+  }
+
+let compile inc =
+  let prep = inc.i_prep in
+  Interned.extend prep.p_compiled prep.p_parts ~drop:(reinstantiated inc)
+    ~atoms:inc.i_atoms (fresh_instances inc)
+
+let extend ?par ?stats prep dp =
+  let stats = get_stats stats in
+  timed stats (fun () ->
+      view (increment_with ?par ~stats ~merged:false prep dp))
 
 (* ------------------------------------------------------------------ *)
 (* Structural re-preparation                                           *)
@@ -1228,12 +1443,14 @@ let flatten_store ~max_atoms base overlay =
   copy overlay;
   flat
 
+(* The increment absorbed for good: shared instances stay shared (and
+   keep their emission order), new joins are appended, re-instantiated
+   entries replaced, and the delta's rules become entries. *)
 let extend_prepare ?par ?stats prep dp =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  let t0 = Unix.gettimeofday () in
-  (* Overlay phase 1, exactly as in {!extend} — but the merged template
-     index is kept: it becomes the new prepared's [p_tindex]. *)
-  let st, _, dtindex, templates = overlay_phase1 ?par ~stats prep dp in
+  let stats = get_stats stats in
+  timed stats @@ fun () ->
+  let inc = increment_with ?par ~stats ~merged:true prep dp in
+  let tables, view = Option.get inc.i_full in
   let nbase = Array.length prep.p_templates in
   let tindex = SigTbl.copy prep.p_tindex in
   SigTbl.iter
@@ -1241,94 +1458,16 @@ let extend_prepare ?par ?stats prep dp =
       let b = Option.value ~default:[] (SigTbl.find_opt tindex sg) in
       SigTbl.replace tindex sg
         (b @ List.map (fun (ti, pos) -> (ti + nbase, pos)) d))
-    dtindex;
-  let ntables = sorted_tables st in
-  let tables = merge_tables prep.p_tables ntables in
-  let view = view_of_tables tables in
-  let new_view = view_of_tables ntables in
-  let store = flatten_store ~max_atoms:prep.p_max_atoms prep.p_store st in
-  let snap = { sn_view = view; sn_mem = (fun a -> Atom.Tbl.mem store.st_univ a) } in
-  let touched sg = SigTbl.mem ntables.tb_sigs sg in
-  (* Per-entry instance update under {!extend}'s classification: shared
-     instances stay shared (and keep their emission order), delta-exact
-     new joins are appended, cond-touched rules are recomputed. *)
-  let entries = ref [] in
-  let recompute ?body_cands perm r =
-    let acc = ref [] in
-    let emit gr =
-      stats.Stats.fresh_rules <- stats.Stats.fresh_rules + 1;
-      acc := gr :: !acc
-    in
-    instantiate snap stats ?body_cands ?perm ~emit r;
-    List.rev !acc
-  in
-  Array.iter
-    (fun e ->
-      let perm = prep.p_order e.e_rule in
-      let insts =
-        if List.exists touched e.e_cond_sigs then recompute perm e.e_rule
-        else begin
-          stats.Stats.reused_rules <-
-            stats.Stats.reused_rules + List.length e.e_instances;
-          let extra = ref [] in
-          Array.iteri
-            (fun i sg ->
-              if touched sg then begin
-                let body_cands k pat' ~pending =
-                  if k = i then view_cands ~pending new_view stats pat'
-                  else if k < i then view_cands ~pending prep.p_view stats pat'
-                  else view_cands ~pending view stats pat'
-                in
-                extra := !extra @ recompute ~body_cands perm e.e_rule
-              end)
-            e.e_pos_sigs;
-          e.e_instances @ !extra
-        end
-      in
-      entries := { e with e_instances = insts } :: !entries)
-    prep.p_entries;
+    inc.i_dtindex;
+  let entries = Array.copy prep.p_entries in
   List.iter
-    (fun r ->
-      entries :=
-        {
-          e_rule = r;
-          e_pos_sigs = Array.of_list (Deps.positive_body_signatures r);
-          e_cond_sigs = Deps.condition_signatures r;
-          e_instances = recompute (prep.p_order r) r;
-        }
-        :: !entries)
-    (Program.rules dp);
-  let entries = List.rev !entries in
-  let seen : (Ground.grule, unit) Hashtbl.t = Hashtbl.create 256 in
-  let rules =
-    List.concat_map
-      (fun e ->
-        List.filter
-          (fun gr ->
-            if Hashtbl.mem seen gr then false
-            else begin
-              Hashtbl.replace seen gr ();
-              true
-            end)
-          e.e_instances)
-      entries
-  in
-  view.v_cache.cc_frozen <- true;
-  let next =
-    {
-      p_program = Program.append prep.p_program dp;
-      p_max_atoms = prep.p_max_atoms;
-      p_store = store;
-      p_tables = tables;
-      p_view = view;
-      p_snap = snap;
-      p_entries = Array.of_list entries;
-      p_templates = templates;
-      p_tindex = tindex;
-      p_universe = universe_of store Model.AtomSet.empty;
-      p_rules = rules;
-      p_order = prep.p_order;
-    }
-  in
-  stats.Stats.wall_s <- stats.Stats.wall_s +. (Unix.gettimeofday () -. t0);
-  next
+    (fun (i, redo, fresh) ->
+      let e = entries.(i) in
+      entries.(i) <-
+        entry e.e_rule (if redo then fresh else e.e_instances @ fresh))
+    inc.i_changed;
+  Array.to_list entries @ List.map (fun (r, l) -> entry r l) inc.i_rules
+  |> finish ~program:(Program.append prep.p_program dp)
+       ~max_atoms:prep.p_max_atoms
+       ~store:(flatten_store ~max_atoms:prep.p_max_atoms prep.p_store inc.i_store)
+       ~tables ~view ~templates:(Array.append prep.p_templates inc.i_templates) ~tindex ~order:prep.p_order

@@ -36,8 +36,8 @@ exception Overflow of string
     such as [p(X+1) :- p(X)] without a bound). *)
 
 (** Grounding effort counters, in the mould of {!Solver.Stats}: shared by
-    {!ground}, {!prepare} and {!extend}, surfaced by [cpsrisk solve/sweep
-    --stats] and the benches. *)
+    {!ground}, {!prepare}, {!increment} and {!extend}, surfaced by
+    [cpsrisk solve/sweep --stats] and the benches. *)
 module Stats : sig
   type t = {
     mutable passes : int;  (** semi-naive fixpoint rounds *)
@@ -45,7 +45,7 @@ module Stats : sig
     mutable probes : int;  (** candidate-index lookups, both phases *)
     mutable fresh_rules : int;  (** ground rules instantiated anew *)
     mutable reused_rules : int;
-        (** base instances shared by {!extend} without re-derivation *)
+        (** base instances shared by {!increment} without re-derivation *)
     mutable wall_s : float;
   }
 
@@ -92,10 +92,11 @@ val ground :
 
 type prepared
 (** Reusable grounding state for a base program: its closed universe with
-    candidate indexes, head-derivation templates, and per-rule ground
-    instances with the signature metadata {!extend} classifies against.
-    Read-only after {!prepare} — one [prepared] may be extended from many
-    domains concurrently. *)
+    candidate indexes, head-derivation templates, per-rule ground
+    instances indexed by the signatures {!increment} classifies against,
+    and the instances' compiled {!Interned} form. Read-only after
+    {!prepare} — one [prepared] may be extended from many domains
+    concurrently. *)
 
 val prepare :
   ?max_atoms:int ->
@@ -104,46 +105,80 @@ val prepare :
   ?stats:Stats.t ->
   Program.t ->
   prepared
-(** Ground the base once, keeping the state an increment can extend.
-    [order] is as in {!ground} and is retained: {!extend} re-applies it to
-    base rules it re-instantiates and to delta rules. Raises like {!ground}
-    if the base itself is unsafe or overflows. *)
+(** Ground the base once, keeping the state an increment can extend, and
+    compile it ({!compiled_base}) once. [order] is as in {!ground} and is
+    retained: increments re-apply it to base rules they re-instantiate and
+    to delta rules. Raises like {!ground} if the base itself is unsafe or
+    overflows. *)
 
 val base : prepared -> Ground.t
 (** The base program's own grounding (what [ground base] returns). *)
 
 val base_universe : prepared -> Model.AtomSet.t
 
+val compiled_base : prepared -> Interned.t
+(** The base's instances, rule by rule and without the cross-rule dedup
+    of {!base}, compiled once by {!prepare} (or {!extend_prepare}): ids
+    [0, n_universe) are the base universe in {!Atom.compare} order. *)
+
+type increment
+(** What grounding a delta against a [prepared] base adds to it. *)
+
+val increment :
+  ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> increment
+(** [increment state delta] grounds base + delta doing work proportional
+    to what the delta adds. The universe fixpoint restarts from the
+    delta's rules only (the base is already closed); base rules are then
+    classified by the signatures that gained atoms — untouched rules share
+    their base instances wholesale, without being visited; rules whose
+    positive body joins are touched share the old instances and enumerate
+    only joins involving a new atom; and rules whose negated-atom /
+    aggregate / choice-condition signatures are touched are
+    re-instantiated, so negative-literal simplification and element sets
+    stay exact against the full universe. Nothing of the base is copied.
+    Raises like {!ground} if the delta is unsafe or the combined universe
+    overflows [prepare]'s [max_atoms]. *)
+
+val reinstantiated : increment -> int list
+(** The base rules (indices into the base program's rules, ascending)
+    whose instances the increment replaces. *)
+
+val new_atoms : increment -> Atom.t list
+(** The atoms the increment adds to the base universe, ascending. *)
+
+val fresh_instances : increment -> Ground.grule list
+(** The ground rules the increment adds: re-instantiations and new joins
+    of base rules in rule order, then the delta's own instances. *)
+
+val compile : increment -> Interned.t
+(** The increment compiled against {!compiled_base}: only the new atoms
+    and {!fresh_instances} are interned ({!Interned.extend}), and the
+    re-instantiated base rules are dropped. Solves like
+    [Interned.compile] of {!extend}'s program, up to the numbering of the
+    new atoms. *)
+
 val extend : ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> Ground.t
-(** [extend state delta] grounds base + delta doing work proportional to
-    what the delta adds. The universe fixpoint restarts from the delta's
-    rules only (the base is already closed); base rules are then classified
-    by the signatures that gained atoms — untouched rules share their base
-    instances wholesale, rules whose positive body joins are touched share
-    the old instances and enumerate only joins involving a new atom, and
-    rules whose negated-atom / aggregate / choice-condition signatures are
-    touched are recomputed so negative-literal simplification and element
-    sets stay exact against the full universe.
+(** [extend state delta] is the {!increment} of [delta] as a whole ground
+    program: base instances, re-instantiations and new joins in base rule
+    order, then the delta's instances, over the base universe plus
+    {!new_atoms}.
 
     Equivalent to [ground (Program.append base delta)] up to duplicate
     ground rules across source rules (each source rule's instances are
     exact; the global cross-rule dedup of {!ground} is not re-applied to
-    shared instances): same universe, same stable models, same costs.
-    Raises like {!ground} if the delta is unsafe or the combined universe
-    overflows [prepare]'s [max_atoms]. *)
+    shared instances): same universe, same stable models, same costs. *)
 
 val extend_prepare :
   ?par:par -> ?stats:Stats.t -> prepared -> Program.t -> prepared
 (** [extend_prepare state delta] is to {!prepare} what {!extend} is to
-    {!ground}: it absorbs [delta] as a permanent structural increment and
-    returns warm state for [base + delta], doing instance work
-    proportional to what the delta touches (the same share / delta-join /
-    recompute classification as {!extend}). Chains: a refinement sequence
-    pays one [extend_prepare] per level instead of a scratch re-ground,
-    and the result can itself be {!extend}ed per what-if delta.
+    {!ground}: it absorbs the {!increment} of [delta] as a permanent
+    structural increment and returns warm state, compiled once, for
+    [base + delta]. Chains: a refinement sequence pays one
+    [extend_prepare] per level instead of a scratch re-ground, and the
+    result can itself be extended per what-if delta.
 
     The returned state's {!base} is equivalent to
     [ground (Program.append base delta)] in the sense documented for
     {!extend} — same universe, same stable models, same costs; rule
     emission order may differ from a scratch {!prepare}. The input
-    [state] is not mutated and stays usable. Raises like {!extend}. *)
+    [state] is not mutated and stays usable. Raises like {!increment}. *)

@@ -30,45 +30,80 @@ type weak = {
   terms : Term.t list;
 }
 
+type csr = { start : int array; items : int array }
+
+(* [iter i emit] calls [emit v x] once per entry [x] of row [v] that item
+   [i] contributes *)
+let csr n n_items iter =
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to n_items - 1 do
+    iter i (fun v _ -> start.(v + 1) <- start.(v + 1) + 1)
+  done;
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 n in
+  let items = Array.make start.(n) 0 in
+  for i = 0 to n_items - 1 do
+    iter i (fun v x ->
+        items.(fill.(v)) <- x;
+        fill.(v) <- fill.(v) + 1)
+  done;
+  { start; items }
+
+type evaluation = {
+  model : Bitset.t;
+  model_atoms : Model.AtomSet.t;
+  users : csr;
+  defs : csr;
+  fact_defs : csr;
+}
+
 type t = {
   atoms : Atom.t array;
+  appended_atoms : Atom.t array;
   index : int Atom.Tbl.t;
+  appended : int Atom.Tbl.t;
   n_atoms : int;
   universe : Model.AtomSet.t;
   n_universe : int;
+  n_base : int;
   facts : int array;
   rules : rule array;
   choices : choice array;
   constraints : constr array;
   weaks : weak array;
   counts : count array;
-  choice_atoms : Bitset.t;
-  derived_head : Bitset.t;
   has_counts : bool;
   has_negative_weight : bool;
+  evaluation : evaluation option;
+  origin : origin option;
 }
 
-let compile (g : Ground.t) =
-  let table = Atom.Tbl.create 1024 in
-  let atoms_rev = ref [] in
-  let next = ref 0 in
-  let id a =
-    match Atom.Tbl.find_opt table a with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        Atom.Tbl.replace table a i;
-        atoms_rev := a :: !atoms_rev;
-        incr next;
-        i
-  in
-  (* seed from the grounder's universe: ids [0, n_universe) ascend in
-     Atom.compare order, which [atoms_of_bitset] relies on *)
-  Model.AtomSet.iter (fun a -> ignore (id a)) g.Ground.universe;
-  let n_universe = !next in
+and origin = {
+  base : t;
+  dropped_facts : Bitset.t;
+  dropped_rules : Bitset.t;
+  first_fresh_fact : int;
+  first_fresh_rule : int;
+}
+
+(* The compiled arrays of one rule list, before assembly into a [t]. *)
+type body = {
+  b_facts : int array;
+  b_rules : rule array;
+  b_choices : choice array;
+  b_constraints : constr array;
+  b_weaks : weak array;
+  b_counts : count array;
+}
+
+(* Compile [grs] with the atom numbering [id]; aggregate indices start at
+   [count0], the size of the count table the result is appended to. *)
+let compile_rules ~id ~count0 grs =
   let ids l = Array.of_list (List.map id l) in
   let counts_rev = ref [] in
-  let n_counts = ref 0 in
+  let n_counts = ref count0 in
   let compile_counts cs =
     Array.of_list
       (List.map
@@ -146,41 +181,193 @@ let compile (g : Ground.t) =
               terms;
             }
             :: !weaks)
-    g.Ground.rules;
-  let atoms = Array.of_list (List.rev !atoms_rev) in
-  let n_atoms = Array.length atoms in
-  let facts = Array.of_list (List.rev !facts) in
-  let rules = Array.of_list (List.rev !rules) in
-  let choices = Array.of_list (List.rev !choices) in
-  let constraints = Array.of_list (List.rev !constraints) in
-  let weaks = Array.of_list (List.rev !weaks) in
-  let counts = Array.of_list (List.rev !counts_rev) in
-  let choice_atoms = Bitset.create n_atoms in
-  Array.iter
-    (fun c -> Array.iter (fun e -> Bitset.set choice_atoms e.eatom) c.elems)
-    choices;
-  let derived_head = Bitset.create n_atoms in
-  Array.iter (fun a -> Bitset.set derived_head a) facts;
-  Array.iter (fun r -> Bitset.set derived_head r.head) rules;
+    grs;
+  let arr l = Array.of_list (List.rev l) in
   {
-    atoms;
-    index = table;
-    n_atoms;
-    universe = g.Ground.universe;
-    n_universe;
-    facts;
-    rules;
-    choices;
-    constraints;
-    weaks;
-    counts;
-    choice_atoms;
-    derived_head;
-    has_counts = counts <> [||];
-    has_negative_weight = Array.exists (fun w -> w.weight < 0) weaks;
+    b_facts = arr !facts;
+    b_rules = arr !rules;
+    b_choices = arr !choices;
+    b_constraints = arr !constraints;
+    b_weaks = arr !weaks;
+    b_counts = arr !counts_rev;
   }
 
-let id p a = Atom.Tbl.find p.index a
+(* A growable atom numbering: ids from [first] on, in first-use order. *)
+let numbering ~size ~lookup ~first =
+  let table = Atom.Tbl.create size in
+  let rev = ref [] and next = ref first in
+  let id a =
+    match lookup a with
+    | Some i -> i
+    | None -> (
+        match Atom.Tbl.find_opt table a with
+        | Some i -> i
+        | None ->
+            let i = !next in
+            Atom.Tbl.replace table a i;
+            rev := a :: !rev;
+            incr next;
+            i)
+  in
+  (table, id, fun () -> Array.of_list (List.rev !rev))
+
+let assemble ?origin ~atoms ~appended_atoms ~index ~appended ~universe
+    ~n_universe b =
+  let n_base = Array.length atoms in
+  let n_atoms = n_base + Array.length appended_atoms in
+  {
+    atoms;
+    appended_atoms;
+    index;
+    appended;
+    n_atoms;
+    universe;
+    n_universe;
+    n_base;
+    facts = b.b_facts;
+    rules = b.b_rules;
+    choices = b.b_choices;
+    constraints = b.b_constraints;
+    weaks = b.b_weaks;
+    counts = b.b_counts;
+    has_counts = b.b_counts <> [||];
+    has_negative_weight = Array.exists (fun w -> w.weight < 0) b.b_weaks;
+    evaluation = None;
+    origin;
+  }
+
+let compile_list universe grs =
+  let index, id, atoms =
+    numbering ~size:1024 ~lookup:(fun _ -> None) ~first:0
+  in
+  (* seed from the universe: ids [0, n_universe) ascend in Atom.compare
+     order, which [atoms_of_bitset] relies on *)
+  Model.AtomSet.iter (fun a -> ignore (id a)) universe;
+  let n_universe = Atom.Tbl.length index in
+  let b = compile_rules ~id ~count0:0 grs in
+  assemble ~atoms:(atoms ()) ~appended_atoms:[||] ~index
+    ~appended:(Atom.Tbl.create 1) ~universe ~n_universe b
+
+let compile (g : Ground.t) = compile_list g.Ground.universe g.Ground.rules
+
+(* Where each part's rules start in the five rule arrays, plus one final
+   row holding the totals: [offsets.(5 * i + kind)]. *)
+type parts = { offsets : int array }
+
+let kind = function
+  | Ground.Gfact _ -> 0
+  | Ground.Grule _ -> 1
+  | Ground.Gchoice _ -> 2
+  | Ground.Gconstraint _ -> 3
+  | Ground.Gweak _ -> 4
+
+let compile_parts universe groups =
+  let n = Array.length groups in
+  let offsets = Array.make (5 * (n + 1)) 0 in
+  Array.iteri
+    (fun i grs ->
+      Array.blit offsets (5 * i) offsets (5 * (i + 1)) 5;
+      List.iter
+        (fun gr ->
+          let k = (5 * (i + 1)) + kind gr in
+          offsets.(k) <- offsets.(k) + 1)
+        grs)
+    groups;
+  ( compile_list universe (List.concat (Array.to_list groups)),
+    { offsets } )
+
+(* [base]'s entries of one rule kind with the ranges of the dropped parts
+   cut out, followed by [fresh] *)
+let splice parts ~drop ~kind base fresh =
+  let off i = parts.offsets.((5 * i) + kind) in
+  match List.filter (fun i -> off (i + 1) > off i) drop with
+  | [] -> if Array.length fresh = 0 then base else Array.append base fresh
+  | drop ->
+      let kept = ref [] and lo = ref 0 in
+      List.iter
+        (fun i ->
+          kept := Array.sub base !lo (off i - !lo) :: !kept;
+          lo := off (i + 1))
+        drop;
+      kept := fresh :: Array.sub base !lo (Array.length base - !lo) :: !kept;
+      Array.concat (List.rev !kept)
+
+let extend base parts ~drop ~atoms grs =
+  if base.n_base <> base.n_atoms then
+    invalid_arg "Interned.extend: the base is itself an extension";
+  let appended, id, fresh_atoms =
+    numbering ~size:64 ~lookup:(Atom.Tbl.find_opt base.index)
+      ~first:base.n_atoms
+  in
+  List.iter (fun a -> ignore (id a)) atoms;
+  let b = compile_rules ~id ~count0:(Array.length base.counts) grs in
+  let splice kind base fresh = splice parts ~drop ~kind base fresh in
+  let dropped kind n =
+    let bits = Bitset.create n in
+    List.iter
+      (fun i ->
+        for j = parts.offsets.((5 * i) + kind)
+            to parts.offsets.((5 * (i + 1)) + kind) - 1 do
+          Bitset.set bits j
+        done)
+      drop;
+    bits
+  in
+  let facts = splice 0 base.facts b.b_facts in
+  let rules = splice 1 base.rules b.b_rules in
+  let origin =
+    {
+      base;
+      dropped_facts = dropped 0 (Array.length base.facts);
+      dropped_rules = dropped 1 (Array.length base.rules);
+      first_fresh_fact = Array.length facts - Array.length b.b_facts;
+      first_fresh_rule = Array.length rules - Array.length b.b_rules;
+    }
+  in
+  assemble ~origin ~atoms:base.atoms ~appended_atoms:(fresh_atoms ())
+    ~index:base.index ~appended ~universe:base.universe
+    ~n_universe:base.n_universe
+    {
+      b_facts = facts;
+      b_rules = rules;
+      b_choices = splice 2 base.choices b.b_choices;
+      b_constraints = splice 3 base.constraints b.b_constraints;
+      b_weaks = splice 4 base.weaks b.b_weaks;
+      b_counts =
+        (if Array.length b.b_counts = 0 then base.counts
+         else Array.append base.counts b.b_counts);
+    }
+
+let atom p i =
+  if i < p.n_base then p.atoms.(i) else p.appended_atoms.(i - p.n_base)
+
+let choice_atoms p =
+  let b = Bitset.create p.n_atoms in
+  Array.iter
+    (fun c -> Array.iter (fun e -> Bitset.set b e.eatom) c.elems)
+    p.choices;
+  b
+
+let derived_heads p =
+  let b = Bitset.create p.n_atoms in
+  Array.iter (fun a -> Bitset.set b a) p.facts;
+  Array.iter (fun r -> Bitset.set b r.head) p.rules;
+  b
+
+let id p a =
+  match Atom.Tbl.find_opt p.index a with
+  | Some i -> i
+  | None -> Atom.Tbl.find p.appended a
+
+(* ids below [n_base] keep their order; an increment's atoms are merged
+   in by Atom.compare (they are all universe atoms) *)
+let canonical_order p ids =
+  if p.n_base = p.n_atoms || Array.for_all (fun i -> i < p.n_base) ids then ids
+  else begin
+    let ids = Array.copy ids in
+    Array.stable_sort (fun i j -> Atom.compare (atom p i) (atom p j)) ids;
+    ids
+  end
 
 (* A stable model usually holds most of the universe, so it is built as
    the universe minus its unset atoms: [remove] copies only the path to
@@ -210,7 +397,7 @@ let atoms_of_bitset p bits =
       !acc
     end
   in
-  List.fold_left (fun s i -> Model.AtomSet.add p.atoms.(i) s) acc !outside
+  List.fold_left (fun s i -> Model.AtomSet.add (atom p i) s) acc !outside
 
 let all_true m ids = Array.for_all (fun i -> Bitset.get m i) ids
 let none_true m ids = not (Array.exists (fun i -> Bitset.get m i) ids)

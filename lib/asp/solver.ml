@@ -741,11 +741,10 @@ let solve_full ?limit ~config ~assumptions ~optimal ~stats (p : Interned.t) =
    enumeration (no assumptions, and no weak constraints when optimizing —
    a zero-cost optimum is just the enumeration); everything else runs the
    full CDNL tier *)
-let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
-    (g : Ground.t) =
+let solve_interned ?limit ?(assumptions = []) ?(config = Config.default)
+    ~optimal (p : Interned.t) =
   let t0 = Unix.gettimeofday () in
   let stats = Stats.create () in
-  let p = Interned.compile g in
   let cheap =
     if
       config.Config.cheap_tier
@@ -758,6 +757,14 @@ let solve_core ?limit ?(assumptions = []) ?(config = Config.default) ~optimal
     match cheap with
     | Some models -> models
     | None -> solve_full ?limit ~config ~assumptions ~optimal ~stats p
+  in
+  stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
+  (result, stats)
+
+let solve_core ?limit ?assumptions ?config ~optimal g =
+  let t0 = Unix.gettimeofday () in
+  let result, stats =
+    solve_interned ?limit ?assumptions ?config ~optimal (Interned.compile g)
   in
   stats.Stats.wall_s <- Unix.gettimeofday () -. t0;
   (result, stats)
@@ -785,15 +792,16 @@ let guiding_atoms (g : Ground.t) n =
   if n <= 0 then []
   else begin
     let p = Interned.compile g in
+    let choice_atoms = Interned.choice_atoms p in
     let acc = ref [] in
     let count = ref 0 in
     Bitset.iter_true
       (fun a ->
         if !count < n then begin
-          acc := p.Interned.atoms.(a) :: !acc;
+          acc := Interned.atom p a :: !acc;
           incr count
         end)
-      p.Interned.choice_atoms;
+      choice_atoms;
     if !count < n then begin
       let negs = Bitset.create (max p.Interned.n_atoms 1) in
       Array.iter
@@ -809,8 +817,8 @@ let guiding_atoms (g : Ground.t) n =
         p.Interned.choices;
       Bitset.iter_true
         (fun a ->
-          if !count < n && not (Bitset.get p.Interned.choice_atoms a) then begin
-            acc := p.Interned.atoms.(a) :: !acc;
+          if !count < n && not (Bitset.get choice_atoms a) then begin
+            acc := Interned.atom p a :: !acc;
             incr count
           end)
         negs

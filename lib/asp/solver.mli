@@ -88,6 +88,18 @@ val solve_with_stats :
   Model.t list * Stats.t
 (** Same as {!solve}, also returning search statistics. *)
 
+val solve_interned :
+  ?limit:int ->
+  ?assumptions:(Atom.t * bool) list ->
+  ?config:Config.t ->
+  optimal:bool ->
+  Interned.t ->
+  Model.t list * Stats.t
+(** {!solve_with_stats} ([~optimal:false]) or {!solve_optimal_with_stats}
+    ([~optimal:true]) of an already compiled program — what a what-if job
+    solves after {!Grounder.compile}. The stats' wall time covers the
+    solve only, not the compile. *)
+
 val solve_optimal :
   ?assumptions:(Atom.t * bool) list ->
   ?config:Config.t ->

@@ -105,10 +105,8 @@ let run ?cache spec =
     let inc = spec.increment c in
     let ((models, _, gs) : value), src =
       Engine.Cache.find_or_compute_src cache (Fp.extend !fp inc) (fun () ->
-          let gs = Asp.Grounder.Stats.create () in
-          let g = Asp.Grounder.extend ~stats:gs !prep inc in
-          let models, ss = Asp.Solver.solve_with_stats ?limit:spec.limit g in
-          (models, ss, gs))
+          Engine.Job.solve_increment ~mode:(Engine.Job.Enumerate spec.limit)
+            !prep inc)
     in
     (match src with
     | Engine.Cache.Fresh ->

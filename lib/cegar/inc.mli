@@ -6,13 +6,14 @@
     increments (one per refinement level). The incremental driver pays
     one {!Asp.Grounder.prepare} for the base and one
     {!Asp.Grounder.extend_prepare} per level — round [k+1] reuses round
-    [k]'s ground program — where the scratch driver re-grounds the
-    accumulated program from nothing every round.
+    [k]'s ground program, compiled once per level — where the scratch
+    driver re-grounds the accumulated program from nothing every round.
 
     Candidates are {!Engine.Delta}s assessed against each level and kept
     or eliminated by a caller predicate over the stable models. A
-    candidate compiles to a program increment, grounded with
-    {!Asp.Grounder.extend} against the level's warm state. Candidates are
+    candidate compiles to a program increment, and
+    {!Engine.Job.solve_increment} grounds, interns and solves only that
+    increment against the level's warm, compiled state. Candidates are
     assessed one after another, in candidate order, on the calling
     domain, and results are deduplicated through {!Engine.Cache} by
     structural fingerprint: a candidate re-assessed against an unchanged

@@ -67,21 +67,27 @@ let prepare s =
 
 let prepared_spec p = p.p_spec
 
-let base_atoms p =
-  Asp.Model.AtomSet.cardinal (Asp.Grounder.base_universe p.p_ground)
+let base_atoms p = (Asp.Grounder.compiled_base p.p_ground).Asp.Interned.n_universe
 
 let fingerprint p delta =
   Fingerprint.combine
     (Fingerprint.extend p.p_base_fp (p.p_spec.compile delta))
     p.p_mode_fp
 
-let solve p delta =
-  let s = p.p_spec in
+let solve_increment ~mode ground increment =
   let gstats = Asp.Grounder.Stats.create () in
-  let ground = Asp.Grounder.extend ~stats:gstats p.p_ground (s.compile delta) in
+  let inc = Asp.Grounder.increment ~stats:gstats ground increment in
+  let t0 = Unix.gettimeofday () in
+  let compiled = Asp.Grounder.compile inc in
+  let t_compile = Unix.gettimeofday () -. t0 in
   let models, stats =
-    match s.mode with
-    | Enumerate limit -> Asp.Solver.solve_with_stats ?limit ground
-    | Optimal -> Asp.Solver.solve_optimal_with_stats ground
+    match mode with
+    | Enumerate limit -> Asp.Solver.solve_interned ?limit ~optimal:false compiled
+    | Optimal -> Asp.Solver.solve_interned ~optimal:true compiled
   in
+  (* compiling is the solver's front end, as in [Solver.solve_with_stats] *)
+  stats.Asp.Solver.Stats.wall_s <- stats.Asp.Solver.Stats.wall_s +. t_compile;
   (models, stats, gstats)
+
+let solve p delta =
+  solve_increment ~mode:p.p_spec.mode p.p_ground (p.p_spec.compile delta)

@@ -4,9 +4,10 @@
     {!prepare} does the work that is paid once per sweep rather than once
     per job: fingerprint the base and {!Asp.Grounder.prepare} it, so that
     every job can (a) derive its own content address with
-    {!Fingerprint.extend} over just the increment and (b) ground just its
-    increment with {!Asp.Grounder.extend} against the shared prepared
-    state, instead of re-grounding the whole base program. *)
+    {!Fingerprint.extend} over just the increment and (b) ground, intern
+    and solve just its increment against the shared prepared state and
+    its compiled form, instead of re-grounding and re-compiling the whole
+    base program. *)
 
 type mode =
   | Enumerate of int option
@@ -58,7 +59,8 @@ val prepare : spec -> prepared
 
 val prepared_spec : prepared -> spec
 val base_atoms : prepared -> int
-(** Size of the base atom universe (what each job's grounding extends). *)
+(** Size of the base atom universe (what each job's grounding extends),
+    read from the base's compiled form. *)
 
 val fingerprint : prepared -> Delta.t -> Fingerprint.t
 (** Content address of the job: base extended with the compiled increment,
@@ -67,5 +69,16 @@ val fingerprint : prepared -> Delta.t -> Fingerprint.t
 val solve :
   prepared -> Delta.t ->
   Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
-(** Ground the increment with {!Asp.Grounder.extend} and solve. The
-    prepared state is only read: safe to call from any domain. *)
+(** [solve_increment] of the job's compiled increment under the spec's
+    mode. The prepared state is only read: safe to call from any
+    domain. *)
+
+val solve_increment :
+  mode:mode -> Asp.Grounder.prepared -> Asp.Program.t ->
+  Asp.Model.t list * Asp.Solver.Stats.t * Asp.Grounder.Stats.t
+(** The one solve path for a program increment over a prepared base:
+    {!Asp.Grounder.increment} grounds it, {!Asp.Grounder.compile} interns
+    only the increment against the base's compiled form, and
+    {!Asp.Solver.solve_interned} solves it. The base is neither re-grounded
+    nor re-interned. The solver stats' wall time includes the compile, as
+    {!Asp.Solver.solve_with_stats}'s includes its own. *)

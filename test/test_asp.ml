@@ -440,7 +440,7 @@ module AtomSet = Asp.Model.AtomSet
 let inserted (p : Asp.Interned.t) bits =
   let acc = ref AtomSet.empty in
   Asp.Bitset.iter_true
-    (fun i -> acc := AtomSet.add p.Asp.Interned.atoms.(i) !acc)
+    (fun i -> acc := AtomSet.add (Asp.Interned.atom p i) !acc)
     bits;
   !acc
 
@@ -454,20 +454,11 @@ let bitset_of n pred =
   done;
   b
 
-(* [atoms_of_bitset] edits the universe for dense sets and inserts for
-   sparse ones: both must equal plain insertion, and the universe must
-   own ids [0, n_universe) in Atom.compare order *)
-let check_model_construction ~what (g : Asp.Ground.t) =
-  let p = Asp.Interned.compile g in
-  let n = p.Asp.Interned.n_atoms and nu = p.Asp.Interned.n_universe in
-  let u = Array.sub p.Asp.Interned.atoms 0 nu in
-  let universe_ids = AtomSet.of_list (Array.to_list u) in
-  if not (AtomSet.equal universe_ids g.Asp.Ground.universe) then
-    fail (what ^ ": ids below n_universe are not the universe");
-  for i = 1 to nu - 1 do
-    if Asp.Atom.compare u.(i - 1) u.(i) >= 0 then
-      Alcotest.failf "%s: ids %d, %d not in Atom.compare order" what (i - 1) i
-  done;
+(* [atoms_of_bitset] edits the base universe for dense sets and inserts
+   for sparse ones: both must equal plain insertion of the set ids,
+   whether they fall in the base or among the appended ones. *)
+let check_bitsets ~what (p : Asp.Interned.t) =
+  let n = p.Asp.Interned.n_atoms in
   let rng = Random.State.make [| 0x1d5; n |] in
   let random density =
     bitset_of n (fun _ -> Random.State.float rng 1.0 < density)
@@ -486,20 +477,42 @@ let check_model_construction ~what (g : Asp.Ground.t) =
           (Asp.Bitset.cardinal bits) n)
     bitsets
 
-let extended_programs (spec : Engine.Job.spec) deltas =
-  let prep = Asp.Grounder.prepare spec.Engine.Job.base in
-  List.map
-    (fun d -> Asp.Grounder.extend prep (spec.Engine.Job.compile d))
-    deltas
+let check_ascending ~what (atoms : Asp.Atom.t array) =
+  for i = 1 to Array.length atoms - 1 do
+    if Asp.Atom.compare atoms.(i - 1) atoms.(i) >= 0 then
+      Alcotest.failf "%s: ids %d, %d not in Atom.compare order" what (i - 1) i
+  done
 
-let test_interned_corpus () =
-  List.iteri
-    (fun i src ->
-      check_model_construction ~what:(Printf.sprintf "corpus #%d" i)
-        (Asp.Grounder.ground (Asp.Parser.parse_program src)))
-    Test_solver_diff.corpus
+(* ids [0, n_universe) are [universe] in Atom.compare order *)
+let check_universe ~what (p : Asp.Interned.t) universe =
+  let u = Array.sub p.Asp.Interned.atoms 0 p.Asp.Interned.n_universe in
+  if not (AtomSet.equal (AtomSet.of_list (Array.to_list u)) universe) then
+    fail (what ^ ": ids below n_universe are not the universe");
+  check_ascending ~what u
 
-let test_interned_whatif () =
+let check_model_construction ~what (g : Asp.Ground.t) =
+  let p = Asp.Interned.compile g in
+  check_universe ~what p g.Asp.Ground.universe;
+  check_bitsets ~what p
+
+(* a compiled increment: base ids in Atom.compare order, the increment's
+   new atoms appended after them, in Atom.compare order among
+   themselves *)
+let check_increment ~what prep inc =
+  let p = Asp.Grounder.compile inc in
+  check_universe ~what p (Asp.Grounder.base_universe prep);
+  let nb = p.Asp.Interned.n_base in
+  let fresh = Asp.Grounder.new_atoms inc in
+  let appended =
+    Array.init (List.length fresh) (fun i -> Asp.Interned.atom p (nb + i))
+  in
+  if not (List.equal Asp.Atom.equal (Array.to_list appended) fresh) then
+    fail (what ^ ": the increment's atoms are not appended in order");
+  check_ascending ~what appended;
+  check_bitsets ~what p
+
+(* the three what-if backends, each with deltas its jobs solve *)
+let whatif_backends () =
   let tank =
     Cpsrisk.Sweeps.water_tank_spec ~horizon:12
       (Cpsrisk.Sweeps.all_fault_deltas Cpsrisk.Water_tank.faults)
@@ -519,20 +532,32 @@ let test_interned_whatif () =
     | Ok l -> l.Cpsrisk.Ops.spec
     | Error e -> fail e
   in
+  [
+    ("water tank", tank, tank.Engine.Job.deltas);
+    ( "hierarchy",
+      hierarchy,
+      [] :: List.map (fun a -> [ a ]) actions @ [ actions ]
+      |> List.map (fun active -> Cpsrisk.Hierarchy.frontier_delta ~active) );
+    ("press cell", press_cell, press_cell.Engine.Job.deltas);
+  ]
+
+let test_interned_corpus () =
+  List.iteri
+    (fun i src ->
+      check_model_construction ~what:(Printf.sprintf "corpus #%d" i)
+        (Asp.Grounder.ground (Asp.Parser.parse_program src)))
+    Test_solver_diff.corpus
+
+let test_interned_whatif () =
   List.iter
-    (fun (what, spec, deltas) ->
+    (fun (what, (spec : Engine.Job.spec), deltas) ->
+      let prep = Asp.Grounder.prepare spec.Engine.Job.base in
       List.iteri
-        (fun i g ->
-          check_model_construction ~what:(Printf.sprintf "%s #%d" what i) g)
-        (extended_programs spec deltas))
-    [
-      ("water tank", tank, tank.Engine.Job.deltas);
-      ( "hierarchy",
-        hierarchy,
-        [] :: List.map (fun a -> [ a ]) actions @ [ actions ]
-        |> List.map (fun active -> Cpsrisk.Hierarchy.frontier_delta ~active) );
-      ("press cell", press_cell, press_cell.Engine.Job.deltas);
-    ]
+        (fun i d ->
+          check_increment ~what:(Printf.sprintf "%s #%d" what i) prep
+            (Asp.Grounder.increment prep (spec.Engine.Job.compile d)))
+        deltas)
+    (whatif_backends ())
 
 (* a hand-built program whose rules mention atoms outside its universe:
    those take the ids after the universe and are always inserted *)

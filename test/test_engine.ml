@@ -384,6 +384,39 @@ let test_sweep_models_share () =
       total single
       (float_of_int total /. float_of_int single)
 
+(* One prepared base solved from two domains at once: every answer equals
+   the sequential one, and the base's compiled form (shared, read-only)
+   is byte-for-byte what it was before. *)
+let test_job_two_domains () =
+  List.iter
+    (fun (what, (spec : Engine.Job.spec), deltas) ->
+      let prep = Asp.Grounder.prepare spec.Engine.Job.base in
+      let snapshot () =
+        Marshal.to_string (Asp.Grounder.compiled_base prep) []
+      in
+      let before = snapshot () in
+      let deltas = Array.of_list deltas in
+      let solve i =
+        let models, _, _ =
+          Engine.Job.solve_increment ~mode:spec.Engine.Job.mode prep
+            (spec.Engine.Job.compile deltas.(i))
+        in
+        Test_solver_diff.outcome_of_models models
+      in
+      let sequential = Array.init (Array.length deltas) solve in
+      let pooled =
+        Engine.Pool.map ~oversubscribe:true ~jobs:2 solve (Array.length deltas)
+      in
+      Array.iteri
+        (fun i seq ->
+          if not (Test_solver_diff.outcomes_agree seq pooled.(i)) then
+            Alcotest.failf "%s: delta %d solved differently on two domains"
+              what i)
+        sequential;
+      if snapshot () <> before then
+        Alcotest.failf "%s: solving changed the compiled base" what)
+    (Test_asp.whatif_backends ())
+
 (* ------------------------------------------------------------------ *)
 (* Par: guiding-path parallel model enumeration                         *)
 (* ------------------------------------------------------------------ *)
@@ -529,6 +562,8 @@ let suites =
           test_topology_sweep;
         Alcotest.test_case "sweep: what-if models share the universe" `Quick
           test_sweep_models_share;
+        Alcotest.test_case "job: one base solved from two domains" `Quick
+          test_job_two_domains;
         Alcotest.test_case "par: enumeration equals sequential" `Quick
           test_par_enumerate;
         Alcotest.test_case "par: optima equal sequential" `Quick

@@ -778,6 +778,182 @@ let test_par_prepare_extend () =
                  (outcome_name e) (outcome_name s)))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Compiled increments: a job solves only its delta                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The job path — [Grounder.increment], [Grounder.compile] against the
+   base's compiled form, [Solver.solve_interned] — against solving the
+   scratch grounding of base + delta: models, costs and rejections
+   bit-for-bit. Grounding failures must agree in kind. *)
+type solved = Solved of Test_solver_diff.outcome | Failed of string
+
+let solved f =
+  match Test_solver_diff.run f with
+  | o -> Solved o
+  | exception Asp.Grounder.Unsafe _ -> Failed "Unsafe"
+  | exception Asp.Grounder.Overflow _ -> Failed "Overflow"
+
+let pp_solved = function
+  | Solved o -> Test_solver_diff.pp_outcome o
+  | Failed k -> k
+
+let increment_solve ?limit ~optimal prep delta =
+  fst
+    (Asp.Solver.solve_interned ?limit ~optimal
+       (Asp.Grounder.compile (Asp.Grounder.increment prep delta)))
+
+let scratch_solve ?limit ~optimal base delta =
+  let g = Asp.Grounder.ground ~max_atoms (Asp.Program.append base delta) in
+  if optimal then Asp.Solver.solve_optimal g else Asp.Solver.solve ?limit g
+
+let compare_increment ?(limits = []) ~what base_src delta_src prep base delta =
+  List.iter
+    (fun (limit, optimal) ->
+      let inc = solved (fun () -> increment_solve ?limit ~optimal prep delta) in
+      let scr = solved (fun () -> scratch_solve ?limit ~optimal base delta) in
+      let agree =
+        match (inc, scr) with
+        | Solved a, Solved b -> Test_solver_diff.outcomes_agree a b
+        | Failed a, Failed b -> a = b
+        | _ -> false
+      in
+      if not agree then
+        fail
+          (Printf.sprintf
+             "%s: compiled increment diverged (limit %s, optimal %b) on:\n\
+              %s\n+ delta:\n%s\n  increment: %s\n  scratch: %s"
+             what
+             (match limit with Some l -> string_of_int l | None -> "none")
+             optimal base_src delta_src (pp_solved inc) (pp_solved scr)))
+    ([ (None, false); (None, true) ]
+    @ List.map (fun l -> (Some l, false)) limits)
+
+let compiled_one ?limits base_src delta_src =
+  let base = Asp.Parser.parse_program base_src in
+  let delta = Asp.Parser.parse_program delta_src in
+  match Asp.Grounder.prepare ~max_atoms base with
+  | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) -> ()
+  | prep ->
+      compare_increment ?limits ~what:"program" base_src delta_src prep base
+        delta
+
+let test_compiled_seeded () =
+  for seed = 0 to 119 do
+    let rng = Random.State.make [| 0xE7E; seed |] in
+    let base = gen_program rng in
+    let delta = gen_delta rng in
+    compiled_one base delta
+  done
+
+(* choice-free, aggregate-free programs with negation: a base the cheap
+   tier evaluates once, so the increment's perfect model is re-evaluated
+   in its cone only (or found to hold a negative loop) *)
+let gen_stratified rng =
+  let buf = Buffer.create 256 in
+  gen_facts rng buf (3 + Random.State.int rng 4);
+  for _ = 1 to 2 + Random.State.int rng 5 do
+    gen_rule rng buf
+  done;
+  if Random.State.bool rng then
+    Buffer.add_string buf
+      (Printf.sprintf ":- %s(X), not %s(X).\n"
+         upreds.(Random.State.int rng 3)
+         upreds.(Random.State.int rng 3));
+  Buffer.contents buf
+
+let gen_stratified_delta rng =
+  let buf = Buffer.create 128 in
+  gen_facts rng buf (1 + Random.State.int rng 3);
+  for _ = 1 to Random.State.int rng 3 do
+    gen_rule rng buf
+  done;
+  Buffer.contents buf
+
+let test_compiled_stratified () =
+  let evaluated = ref 0 in
+  for seed = 0 to 199 do
+    let rng = Random.State.make [| 0x5CC; seed |] in
+    let base = gen_stratified rng in
+    let delta = gen_stratified_delta rng in
+    compiled_one base delta;
+    match Asp.Grounder.prepare ~max_atoms (Asp.Parser.parse_program base) with
+    | prep ->
+        if (Asp.Grounder.compiled_base prep).Asp.Interned.evaluation <> None
+        then incr evaluated
+    | exception (Asp.Grounder.Unsafe _ | Asp.Grounder.Overflow _) -> ()
+  done;
+  (* the corpus reaches the evaluated-base path, not only its fallbacks *)
+  if !evaluated < 100 then
+    Alcotest.failf "only %d of 200 bases were evaluated" !evaluated
+
+let test_compiled_corners () =
+  List.iter
+    (fun (base, delta) -> compiled_one base delta)
+    [
+      ("p(1). q(X) :- p(X), not s(X). s(2).", "");
+      ("e(1,2). e(2,3). path(X,Y) :- e(X,Y). path(X,Z) :- path(X,Y), e(Y,Z).",
+       "e(3,4). e(4,5).");
+      ("a(1). { h(X) : a(X) } 2.", "a(2). a(3).");
+      ("p(1). p(2). r(1,1). g(X) :- p(X), #count { Y : r(X,Y) } >= 1.",
+       "r(2,1). r(2,2).");
+      ("p(1). q(X) :- p(X).", "p(X+1) :- p(X), X < 4.");
+      (":~ p(X). [X@1, X] p(1).", "p(2). :~ p(X). [1@2, X]");
+      ("n(1). n(2). big :- #count { X : n(X) } >= 3.",
+       "n(3). { pick(X) : n(X) }.");
+    ];
+  (* the delta's atoms sort between base atoms: appended ids, canonical
+     model order *)
+  compiled_one ~limits:[ 1; 2; 3 ]
+    "p(1). p(3). p(5). q(X) :- p(X). { c(X) : q(X) }."
+    "p(2). p(4).";
+  (* a negated signature gains atoms: the base rule is re-instantiated
+     and its base instances dropped from the compiled form *)
+  let base = "p(1). p(2). p(3). q(X) :- p(X), not s(X). r(X) :- q(X)." in
+  let delta = "s(1). s(3)." in
+  compiled_one base delta;
+  let inc =
+    Asp.Grounder.increment
+      (Asp.Grounder.prepare (Asp.Parser.parse_program base))
+      (Asp.Parser.parse_program delta)
+  in
+  check (Alcotest.list Alcotest.int) "re-instantiated base rule" [ 3 ]
+    (Asp.Grounder.reinstantiated inc);
+  check Alcotest.int "its three instances and the delta's two facts" 5
+    (List.length (Asp.Grounder.fresh_instances inc));
+  (* a rule instance that was a fact is re-instantiated: the dropped
+     fact seeds the cone, unless another rule states it too *)
+  compiled_one "a(1). a(2). b :- not c. d(X) :- a(X), b." "c.";
+  compiled_one "a(1). a(2). b. b :- not c. d(X) :- a(X), b." "c.";
+  (* several stable models, with and without a limit *)
+  compiled_one ~limits:[ 1; 2; 3 ] "a(1). a(3). { h(X) : a(X) }."
+    "a(2). b(X) :- h(X).";
+  (* a negative loop sends the solve to CDNL *)
+  let base = "n(1). n(2). c :- a(1)." in
+  let delta = "a(X) :- n(X), not b(X). b(X) :- n(X), not a(X)." in
+  compiled_one base delta;
+  let prep = Asp.Grounder.prepare (Asp.Parser.parse_program base) in
+  let _, stats =
+    Asp.Solver.solve_interned ~optimal:false
+      (Asp.Grounder.compile
+         (Asp.Grounder.increment prep (Asp.Parser.parse_program delta)))
+  in
+  check Alcotest.bool "negative loop solved by CDNL" false
+    stats.Asp.Solver.Stats.cheap
+
+(* the deltas of the three what-if backends, as their jobs solve them *)
+let test_compiled_whatif () =
+  List.iter
+    (fun (what, (spec : Engine.Job.spec), deltas) ->
+      let prep = Asp.Grounder.prepare spec.Engine.Job.base in
+      List.iter
+        (fun d ->
+          compare_increment ~what ("<" ^ what ^ " base>")
+            (Engine.Delta.label d) prep spec.Engine.Job.base
+            (spec.Engine.Job.compile d))
+        deltas)
+    (Test_asp.whatif_backends ())
+
 let suites =
   [
     ( "asp.grounder_diff",
@@ -815,5 +991,13 @@ let suites =
           `Quick test_extend_prepare_seeded;
         Alcotest.test_case "extend_prepare chains vs scratch (corners)" `Quick
           test_extend_prepare_corners;
+        Alcotest.test_case "compiled increment vs scratch (120 seeded)"
+          `Quick test_compiled_seeded;
+        Alcotest.test_case "compiled increment vs scratch (corners)" `Quick
+          test_compiled_corners;
+        Alcotest.test_case "compiled increment vs scratch (200 stratified)"
+          `Quick test_compiled_stratified;
+        Alcotest.test_case "compiled increment vs scratch (what-if)" `Quick
+          test_compiled_whatif;
       ] );
   ]
